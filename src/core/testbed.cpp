@@ -47,8 +47,16 @@ Testbed::Testbed(models::ModelKind kind, unsigned num_vms,
             mc.vrio_via_switch = true;
         }
     }
-    if (const char *env = std::getenv("VRIO_RACK_COALESCE"); env && *env)
-        mc.rack.coalesce = std::atol(env) != 0;
+    // Cross-VM coalescing sits at each rack IOhost's fan-out point,
+    // so enabling it forces rack mode (at least one IOhost behind the
+    // switch).
+    if (const char *env = std::getenv("VRIO_RACK_COALESCE");
+        env && *env && std::atol(env) != 0) {
+        mc.rack.coalesce = true;
+        mc.vrio_via_switch = true;
+        if (mc.rack.iohosts < 1)
+            mc.rack.iohosts = 1;
+    }
     // Warm-state replication (DESIGN.md §16) needs a peer to mirror
     // to, so enabling it forces the rack to at least two IOhosts.
     if (const char *env = std::getenv("VRIO_RACK_REPLICATION");

@@ -25,7 +25,7 @@ enum class IoEvent {
     HostInterrupt,  ///< physical interrupt handled by the (VM)host
     IohostInterrupt,///< physical interrupt handled at the IOhost
     RequestTimeout, ///< request abandoned after retransmit exhaustion
-    Failover,       ///< client re-homed its channel to a standby IOhost
+    Failover,       ///< client re-homed its channel to a peer IOhost
     AdminCommand    ///< hypervisor-mediated NVMe admin command
 };
 

@@ -254,12 +254,6 @@ IoHypervisor::setOffline(bool off)
 // -- failure detection / recovery -----------------------------------------
 
 void
-IoHypervisor::mapHeartbeatPath(net::MacAddress t_mac, net::MacAddress dst)
-{
-    hb_path[t_mac] = dst;
-}
-
-void
 IoHypervisor::heartbeatTick()
 {
     // Self-rescheduling beacon.  A crashed IOhost stays silent — that
@@ -291,25 +285,7 @@ IoHypervisor::heartbeatTick()
     for (const auto &[id, dev] : blk_devices)
         targets.insert(dev.t_mac);
     for (const net::MacAddress &mac : targets) {
-        auto alt = hb_path.find(mac);
-        if (hb_nic && alt != hb_path.end()) {
-            // Switch-path beacon: egress the dedicated heartbeat NIC
-            // so the beat shares fate with the switch fabric instead
-            // of the (possibly direct-wired) client channel.  The
-            // per-host receiver demuxes on the target T-MAC, stamped
-            // into the (otherwise unused) request serial.
-            TransportHeader hb = hdr;
-            hb.request_serial = mac.toU64();
-            net::MacAddress src = hb_nic->queueMac(0);
-            for (const auto &part :
-                 transport::segmentRequest(hb, payload)) {
-                hb_nic->send(0, transport::encapsulate(
-                                    src, alt->second, next_wire_id++,
-                                    part.hdr, part.payload));
-            }
-        } else {
-            sendToClient(mac, hdr, payload);
-        }
+        sendToClient(mac, hdr, payload);
         heartbeats_sent->inc();
     }
     auto &tr = sim().telemetry().tracer;
@@ -656,7 +632,7 @@ IoHypervisor::dispatch(MessageAssembler::Assembled req)
       case MsgType::Heartbeat:
         // Client-bound traffic that the switch flooded our way before
         // learning the client's port (e.g. another IOhost's device
-        // announcements reaching the standby): not ours to process.
+        // announcements reaching a peer IOhost): not ours to process.
         statCounter("foreign_rx_messages").inc();
         break;
       default:

@@ -218,19 +218,6 @@ class IoHypervisor : public sim::SimObject
     void setOffline(bool off);
     bool offline() const { return offline_; }
 
-    /**
-     * Route liveness beacons out @p nic (wired to the rack switch)
-     * instead of the client channel; beats to a client T-MAC are
-     * re-addressed to its `mapHeartbeatPath` destination.  This is the
-     * `recovery.heartbeat_via_switch` wiring: heartbeats share the
-     * switch datapath, so a dead switch port starves them and the
-     * affected clients lapse — per-path failure detection.
-     */
-    void setHeartbeatNic(net::Nic &nic) { hb_nic = &nic; }
-
-    /** Heartbeats for @p t_mac egress the heartbeat NIC to @p dst. */
-    void mapHeartbeatPath(net::MacAddress t_mac, net::MacAddress dst);
-
     // -- warm-state replication (DESIGN.md §16) -----------------------
     /**
      * NIC carrying the replication control channel (wired to the rack
@@ -433,10 +420,6 @@ class IoHypervisor : public sim::SimObject
     uint64_t hb_seq = 0;
     uint32_t incarnation_ = 0;
     telemetry::Counter *heartbeats_sent;
-    /** Dedicated switch-path beacon NIC (null = client channel). */
-    net::Nic *hb_nic = nullptr;
-    /** Beacon destination per client T-MAC on the switch path. */
-    std::map<net::MacAddress, net::MacAddress> hb_path;
     uint64_t wedges_detected = 0;
     uint64_t workers_revived = 0;
     uint64_t requests_abandoned = 0;

@@ -11,9 +11,9 @@
  *
  *  - pickTarget(): voluntary re-steer away from an overloaded home
  *    (ratio-gated, so balanced racks never churn);
- *  - pickFailover(): the home lapsed, choose a replacement — the cold
- *    standby of PR 4 generalized to "just another IOhost", making
- *    failover a placement decision rather than a special wiring.
+ *  - pickFailover(): the home lapsed, choose a replacement among the
+ *    peer IOhosts, making failover a placement decision rather than a
+ *    special wiring.
  *
  * Pure functions over plain data: no simulation state, unit-testable,
  * and trivially deterministic — decisions depend only on table

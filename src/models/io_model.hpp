@@ -135,43 +135,25 @@ struct ModelConfig
         sim::Tick watchdog_period = sim::Tick(5) * sim::kMillisecond;
         /** Consecutive no-progress sweeps before quarantine. */
         unsigned watchdog_threshold = 2;
-        /**
-         * Provision a standby IOhost (own machine, client port and
-         * external port on the rack switch, same consolidated devices
-         * over shared storage); clients whose heartbeat window lapses
-         * re-home their channel to it and replay outstanding requests.
-         * Requires vrio_via_switch — failover is a re-addressing, not
-         * a re-cabling.
-         */
-        bool standby = false;
-        /**
-         * Route the IOhost's liveness beacons through the rack switch
-         * on a dedicated beacon NIC pair (one IOhost-side NIC plus one
-         * per VMhost) instead of the client channel.  Heartbeats then
-         * share fate with the switch fabric: a dead switch port on the
-         * beacon path starves the beats and the affected clients
-         * lapse — per-path failure detection even when the data
-         * channel is a direct link the switch never sees.
-         */
-        bool heartbeat_via_switch = false;
     };
     Recovery recovery;
 
     /**
      * Multi-IOhost rack layer (vRIO kinds only).  `iohosts == 0` (the
-     * default) keeps the historical single-IOhost wiring untouched;
-     * any value >= 1 builds the rack layer instead: that many IOhosts
-     * behind the rack switch (requires vrio_via_switch), every client
-     * device consolidated on all of them, VMs homed round-robin
+     * default) builds the classic wiring: one IOhost with a client
+     * port per VMhost, cabled directly or via the switch; every other
+     * field of RackOpts that switches a rack feature on is rejected
+     * there.  Any value >= 1 builds that many IOhosts behind the rack
+     * switch (requires vrio_via_switch), every client device
+     * consolidated on all of them, VMs homed round-robin
      * (PlacementPolicy::bootAssign) and re-homed dynamically off the
-     * load digests the IOhosts advertise in their heartbeats.  The
-     * PR 4 cold standby is subsumed: a lapsed home is just a
-     * placement decision toward another IOhost (recovery.standby is
-     * rejected in rack mode).
+     * load digests the IOhosts advertise in their heartbeats.  Failover
+     * is a placement decision: a client whose home lapses moves to a
+     * peer IOhost.
      */
     struct RackOpts
     {
-        /** Rack IOhost count; 0 = historical single-IOhost wiring. */
+        /** Rack IOhost count; 0 = classic single-IOhost wiring. */
         unsigned iohosts = 0;
         /**
          * Cross-VM request coalescing at each IOhost fan-out point:
@@ -318,10 +300,9 @@ std::unique_ptr<IoModel> makeModel(Rack &rack, ModelConfig cfg);
 /**
  * Shards a sharded vRIO topology partitions into (DESIGN.md §13/§15):
  * shard 0 is the rack fabric (switch + generators), shard 1+h is
- * VMhost h, and shard 1+H+k is rack IOhost k.  The historical layout
- * (num_iohosts == 0, i.e. one IOhost plus its standby sharing the
- * last shard) is the one-IOhost special case, so the legacy count
- * num_vmhosts + 2 — and with it shard 0's RNG stream — is preserved
+ * VMhost h, and shard 1+H+k is rack IOhost k.  The classic wiring
+ * (num_iohosts == 0) is a rack of one, so its count is
+ * num_vmhosts + 2 — and with it shard 0's RNG stream is preserved
  * exactly.  Only the vRIO kinds have a shard cut; the other models
  * keep everything on one queue.
  */

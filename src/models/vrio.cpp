@@ -25,11 +25,11 @@ class VrioModel::Client : public GuestEndpoint
   public:
     Client(VrioModel &model, unsigned host_index, unsigned vm_index,
            unsigned vf, net::Nic *host_nic, net::MacAddress f_mac,
-           net::MacAddress t_mac, net::MacAddress iohost_mac,
-           hv::ClientKind kind, hv::Core *io_core, std::string name)
+           net::MacAddress t_mac, std::vector<net::MacAddress> homes,
+           unsigned home, hv::ClientKind kind, hv::Core *io_core,
+           std::string name)
         : model(model), host_index(host_index), vm_index(vm_index), vf(vf),
           host_nic(host_nic), f_mac(f_mac), t_mac(t_mac),
-          iohost_mac(iohost_mac),
           vm_(model.rack().sim(), std::move(name),
               /*vcpu*/ model.hosts[host_index].machine->core(vf),
               8u << 20, kind),
@@ -39,7 +39,8 @@ class VrioModel::Client : public GuestEndpoint
                   sendBlockParts(serial, gen);
               },
               [this](uint64_t serial) { failBlock(serial); }),
-          io_core(io_core)
+          io_core(io_core), rack_macs(std::move(homes)), rack_home(home),
+          rack_loads(rack_macs.size()), boot_home(home)
     {
         host_nic->setQueueMac(vf, t_mac);
         host_nic->setRxHandler(vf,
@@ -67,7 +68,10 @@ class VrioModel::Client : public GuestEndpoint
                 [this]() { return double(reasm.checksumDrops()); });
     }
 
-    /** Rebind this client's transport channel (migration). */
+    /**
+     * Rebind this client's transport channel (migration): the home
+     * table's one entry becomes the new VMhost's IOhost port.
+     */
     void
     rebind(unsigned new_host, unsigned new_vf, net::Nic *new_nic,
            hv::Core &new_vcpu, net::MacAddress new_iohost_mac)
@@ -77,7 +81,7 @@ class VrioModel::Client : public GuestEndpoint
         host_index = new_host;
         vf = new_vf;
         host_nic = new_nic;
-        iohost_mac = new_iohost_mac;
+        rack_macs[rack_home] = new_iohost_mac;
         host_nic->setQueueMac(vf, t_mac);
         host_nic->setRxHandler(vf,
                                [this](unsigned q) { vfInterrupt(q); });
@@ -132,7 +136,7 @@ class VrioModel::Client : public GuestEndpoint
             hdr.request_serial = next_serial++;
             hdr.total_len = uint32_t(frame_bytes.size());
             auto wire = transport::encapsulate(
-                t_mac, iohost_mac, next_wire_id++, hdr, frame_bytes);
+                t_mac, homeMac(), next_wire_id++, hdr, frame_bytes);
             transmitWire(std::move(wire));
             // ELI TX-completion interrupt.
             vm_.events().record(hv::IoEvent::GuestInterrupt);
@@ -180,7 +184,6 @@ class VrioModel::Client : public GuestEndpoint
     net::Nic *host_nic;
     net::MacAddress f_mac;
     net::MacAddress t_mac;
-    net::MacAddress iohost_mac;
     hv::Vm vm_;
     NetHandler handler;
 
@@ -208,8 +211,6 @@ class VrioModel::Client : public GuestEndpoint
     // -- failure detection (armed only when recovery is enabled) -------
     /** Beat-to-beat patience; 0 = monitoring off. */
     sim::Tick hb_lapse_window = 0;
-    bool has_standby = false;
-    net::MacAddress standby_mac;
     sim::EventHandle hb_timer;
     uint64_t beats_seen = 0;
     uint64_t hb_lapses = 0;
@@ -225,14 +226,13 @@ class VrioModel::Client : public GuestEndpoint
     uint16_t tg_recovery_track = 0;
     uint16_t tg_lapse = 0;
     uint16_t tg_failover = 0;
-    // Switch-path beacon acceptance (recovery.heartbeat_via_switch):
-    // beats from hb_alt_src count while still homed on hb_alt_home.
-    net::MacAddress hb_alt_src;
-    net::MacAddress hb_alt_home;
-    bool hb_alt_set = false;
 
-    // -- rack placement (cfg.rack.iohosts >= 1) ------------------------
-    /** Client-channel MAC of each rack IOhost; empty = non-rack. */
+    // -- placement -----------------------------------------------------
+    /**
+     * The home table: client-channel MAC of each IOhost this client
+     * may be homed on.  One entry per rack IOhost, or, in the classic
+     * wiring, the single entry of its VMhost's own IOhost port.
+     */
     std::vector<net::MacAddress> rack_macs;
     /** Index of the IOhost this client is currently homed on. */
     unsigned rack_home = 0;
@@ -264,7 +264,8 @@ class VrioModel::Client : public GuestEndpoint
     uint16_t tg_rehome = 0;
     uint16_t tg_path_suspect = 0;
 
-    bool onRack() const { return !rack_macs.empty(); }
+    /** Client-channel MAC of the IOhost this client is homed on. */
+    net::MacAddress homeMac() const { return rack_macs[rack_home]; }
 
     bool tvirtio() const { return io_core != nullptr; }
 
@@ -288,13 +289,6 @@ class VrioModel::Client : public GuestEndpoint
     }
 
     /**
-     * The heartbeat window closed with no beat from the IOhost: it is
-     * presumed dead.  With a standby, re-home the channel and replay
-     * every outstanding block request immediately; without one there
-     * is nothing to do but note the detection — a beat from the
-     * recovered IOhost re-arms the monitor.
-     */
-    /**
      * Home this client's channel on rack IOhost @p k: re-address,
      * replay everything outstanding there, and note the move.  Both
      * voluntary re-steers and lapse failovers land here — in the rack,
@@ -306,7 +300,6 @@ class VrioModel::Client : public GuestEndpoint
         sim::Tick now = vm_.sim().events().now();
         last_move = now;
         rack_home = k;
-        iohost_mac = rack_macs[k];
         ++resteers_;
         if (resteer_counter)
             resteer_counter->inc();
@@ -359,7 +352,7 @@ class VrioModel::Client : public GuestEndpoint
         hdr.type = MsgType::Rehome;
         hdr.device_id = blkDeviceId();
         hdr.total_len = uint32_t(payload.size());
-        auto wire = transport::encapsulate(t_mac, iohost_mac,
+        auto wire = transport::encapsulate(t_mac, homeMac(),
                                            next_wire_id++, hdr, payload);
         transmitWire(std::move(wire));
     }
@@ -374,7 +367,7 @@ class VrioModel::Client : public GuestEndpoint
             return;
         if (cmd.phase != transport::RehomeCmd::Phase::Command)
             return;
-        if (!onRack() || cmd.target >= rack_macs.size())
+        if (cmd.target >= rack_macs.size())
             return;
         // A command from an IOhost this client already left (it lapsed
         // mid-drain and we failed over) is stale: the failover was the
@@ -406,6 +399,16 @@ class VrioModel::Client : public GuestEndpoint
             moveTo(*target, /*failover=*/false);
     }
 
+    /**
+     * The heartbeat window closed with no beat from the home IOhost:
+     * it is presumed dead.  With peers, fail over to the one the load
+     * table picks (the warm peer first under replication) and replay
+     * everything outstanding there — unless no IOhost at all still
+     * beats, in which case the silence is on this client's own path
+     * and the move is suppressed.  With no peer (the classic wiring or
+     * a rack of one) there is nothing to do but note the detection: a
+     * beat from the recovered IOhost re-arms the monitor.
+     */
     void
     heartbeatLapse()
     {
@@ -416,53 +419,31 @@ class VrioModel::Client : public GuestEndpoint
             tr.instant(tg_recovery_track, tg_lapse, lapse_tick,
                        telemetry::cat::kRecovery, vm_index);
         }
-        if (onRack()) {
-            // The home went silent; pick a replacement from the load
-            // table (the PR 4 standby generalized to any peer).  A
-            // lone-IOhost rack has nowhere to go — like the legacy
-            // no-standby case, the next beat re-arms the monitor.
-            if (rack_macs.size() > 1) {
-                // Per-path suspicion: every rack IOhost beats every
-                // client, so if no source still beats, the silence is
-                // on this client's own path and every failover target
-                // is equally unreachable — suppress the move, kick the
-                // retries, and keep watching.
-                if (iohost::PlacementPolicy::classifyLapse(
-                        rack_home, rack_loads, lapse_tick,
-                        hb_lapse_window) ==
-                    iohost::PlacementPolicy::LapseVerdict::PathSuspect) {
-                    ++path_suspicions_;
-                    if (tr.enabled()) {
-                        tr.instant(tg_recovery_track, tg_path_suspect,
-                                   lapse_tick,
-                                   telemetry::cat::kRecovery, vm_index);
-                    }
-                    rtq.kickAll();
-                    armHeartbeatMonitor();
-                    return;
-                }
-                int warm_peer =
-                    rack_repl_
-                        ? int((rack_home + 1) % rack_macs.size())
-                        : -1;
-                moveTo(iohost::PlacementPolicy::pickFailover(
-                           rack_home, rack_loads, lapse_tick,
-                           hb_lapse_window, warm_peer),
-                       /*failover=*/true);
-            }
+        if (rack_macs.size() < 2)
             return;
-        }
-        if (has_standby && iohost_mac != standby_mac) {
-            iohost_mac = standby_mac;
-            ++failovers;
-            vm_.events().record(hv::IoEvent::Failover);
+        // Per-path suspicion: every rack IOhost beats every client, so
+        // if no source still beats, the silence is on this client's
+        // own path and every failover target is equally unreachable —
+        // suppress the move, kick the retries, and keep watching.
+        if (iohost::PlacementPolicy::classifyLapse(rack_home, rack_loads,
+                                                   lapse_tick,
+                                                   hb_lapse_window) ==
+            iohost::PlacementPolicy::LapseVerdict::PathSuspect) {
+            ++path_suspicions_;
             if (tr.enabled()) {
-                tr.instant(tg_recovery_track, tg_failover, lapse_tick,
+                tr.instant(tg_recovery_track, tg_path_suspect, lapse_tick,
                            telemetry::cat::kRecovery, vm_index);
             }
             rtq.kickAll();
-            armHeartbeatMonitor(); // now watching the standby
+            armHeartbeatMonitor();
+            return;
         }
+        int warm_peer =
+            rack_repl_ ? int((rack_home + 1) % rack_macs.size()) : -1;
+        moveTo(iohost::PlacementPolicy::pickFailover(
+                   rack_home, rack_loads, lapse_tick, hb_lapse_window,
+                   warm_peer),
+               /*failover=*/true);
     }
 
     void
@@ -472,52 +453,35 @@ class VrioModel::Client : public GuestEndpoint
         ByteReader r(msg.payload);
         if (!transport::HeartbeatMsg::decode(r, beat))
             return;
-        if (onRack()) {
-            // Every rack IOhost's beat updates the load table this
-            // client places by; only the home's beat counts for
-            // liveness (a live peer proves nothing about the home).
-            for (unsigned k = 0; k < rack_macs.size(); ++k) {
-                if (msg.src != rack_macs[k])
-                    continue;
-                rack_loads[k].seen = true;
-                rack_loads[k].last_beat = vm_.sim().events().now();
-                if (beat.has_load)
-                    rack_loads[k].load_ns = beat.load_ns;
-                if (k == rack_home) {
-                    ++beats_seen;
-                    last_incarnation = beat.incarnation;
-                    if (hb_lapse_window > 0)
-                        armHeartbeatMonitor();
-                    maybeResteer();
-                } else if (failback_ && k == boot_home &&
-                           vm_.sim().events().now() - last_move >=
-                               resteer_dwell) {
-                    // The boot home is beating again after this client
-                    // left it (lapse failover or voluntary move).
-                    // Dwell-gated fail-back: once the revived host
-                    // proves liveness, move back and rebalance the
-                    // rack instead of stranding every refugee VM on
-                    // the survivor.
-                    ++failbacks_;
-                    moveTo(boot_home, /*failover=*/false);
-                }
-                return;
+        // Every IOhost's beat updates the load table this client
+        // places by; only the home's beat counts for liveness (a live
+        // peer proves nothing about the home).
+        for (unsigned k = 0; k < rack_macs.size(); ++k) {
+            if (msg.src != rack_macs[k])
+                continue;
+            rack_loads[k].seen = true;
+            rack_loads[k].last_beat = vm_.sim().events().now();
+            if (beat.has_load)
+                rack_loads[k].load_ns = beat.load_ns;
+            if (k == rack_home) {
+                ++beats_seen;
+                last_incarnation = beat.incarnation;
+                if (hb_lapse_window > 0)
+                    armHeartbeatMonitor();
+                maybeResteer();
+            } else if (failback_ && k == boot_home &&
+                       vm_.sim().events().now() - last_move >=
+                           resteer_dwell) {
+                // The boot home is beating again after this client
+                // left it (lapse failover or voluntary move).
+                // Dwell-gated fail-back: once the revived host proves
+                // liveness, move back and rebalance the rack instead
+                // of stranding every refugee VM on the survivor.
+                ++failbacks_;
+                moveTo(boot_home, /*failover=*/false);
             }
             return;
         }
-        // A beacon from an IOhost this channel is not homed on (the
-        // standby, pre-failover) proves nothing about our IOhost.
-        // With switch-path beacons, beats from the beacon NIC count
-        // for as long as the channel is still homed on the primary.
-        bool from_home = msg.src == iohost_mac;
-        bool from_alt = hb_alt_set && msg.src == hb_alt_src &&
-                        iohost_mac == hb_alt_home;
-        if (!from_home && !from_alt)
-            return;
-        ++beats_seen;
-        last_incarnation = beat.incarnation;
-        if (hb_lapse_window > 0)
-            armHeartbeatMonitor();
     }
 
     /**
@@ -585,7 +549,7 @@ class VrioModel::Client : public GuestEndpoint
         vm_.vcpu().runPreempt(cycles, [this, parts = std::move(parts)]() {
             for (const auto &part : parts) {
                 auto wire = transport::encapsulate(
-                    t_mac, iohost_mac, next_wire_id++, part.hdr,
+                    t_mac, homeMac(), next_wire_id++, part.hdr,
                     part.payload);
                 transmitWire(std::move(wire));
             }
@@ -747,7 +711,7 @@ class VrioModel::Client : public GuestEndpoint
         hdr.type = MsgType::DevAck;
         hdr.device_id = cmd.device_id;
         hdr.total_len = uint32_t(payload.size());
-        auto wire = transport::encapsulate(t_mac, iohost_mac,
+        auto wire = transport::encapsulate(t_mac, homeMac(),
                                            next_wire_id++, hdr, payload);
         transmitWire(std::move(wire));
     }
@@ -760,12 +724,11 @@ VrioModel::VrioModel(Rack &rack, ModelConfig cfg) : IoModel(rack, cfg)
                 "VrioModel requires a vRIO kind");
     auto &sim = rack.sim();
 
-    // Shard cut (DESIGN.md §13): the rack fabric stays on shard 0,
-    // each VMhost gets its own shard, and the IOhost (plus standby)
-    // takes the last.  ShardScope binds object construction to a
-    // partition so every captured EventQueue&/RNG is shard-local;
-    // with an unsharded simulation every scope clamps to shard 0 and
-    // this constructor is bit-identical to the historical one.
+    // Shard cut (DESIGN.md §13/§15): the rack fabric stays on shard 0,
+    // each VMhost gets its own shard, and each IOhost takes one after
+    // them.  ShardScope binds object construction to a partition so
+    // every captured EventQueue&/RNG is shard-local; with an unsharded
+    // simulation every scope clamps to shard 0.
     vrio_assert(sim.shardCount() == 1 ||
                     sim.shardCount() == vrioShardCount(cfg.num_vmhosts,
                                                        cfg.rack.iohosts),
@@ -774,361 +737,34 @@ VrioModel::VrioModel(Rack &rack, ModelConfig cfg) : IoModel(rack, cfg)
                 vrioShardCount(cfg.num_vmhosts, cfg.rack.iohosts),
                 " shards, simulation has ", sim.shardCount());
 
-    // -- multi-IOhost rack (DESIGN.md §15) -------------------------------
-    if (cfg.rack.iohosts >= 1) {
-        vrio_assert(cfg.vrio_via_switch,
-                    "the rack layer requires vrio_via_switch wiring: "
-                    "placement is a re-addressing, not a re-cabling");
-        vrio_assert(!cfg.recovery.standby,
-                    "recovery.standby is subsumed by the rack layer "
-                    "(every IOhost is a failover target)");
-        vrio_assert(!cfg.recovery.heartbeat_via_switch,
-                    "rack beats already traverse the switch");
-        vrio_assert(cfg.block_backend == ModelConfig::BlockBackend::Direct,
-                    "rack mode supports the Direct block backend only");
-        vrio_assert(!(cfg.rack.qos.enabled && cfg.rack.coalesce),
-                    "rack.qos and rack.coalesce both re-order the "
-                    "fan-out queue; enable at most one");
-        buildRack();
-        return;
-    }
-    vrio_assert(!cfg.rack.qos.enabled,
-                "rack.qos requires the rack layer (rack.iohosts >= 1)");
-    vrio_assert(!cfg.rack.failback,
-                "rack.failback requires the rack layer "
-                "(rack.iohosts >= 1)");
+    // The classic wiring (rack.iohosts == 0) is a rack of one IOhost
+    // cabled per VMhost.  Only the cabling and the backing differ from
+    // the rack wiring; options that need a rack are rejected here
+    // instead of being silently ignored.
+    const bool classic = cfg.rack.iohosts == 0;
+    const std::pair<const char *, bool> rack_only[] = {
+        {"rack.coalesce", cfg.rack.coalesce},
+        {"rack.shared_volume", cfg.rack.shared_volume},
+        {"rack.replication", cfg.rack.replication},
+        {"rack.resteer_ratio", cfg.rack.resteer_ratio != 0},
+        {"rack.failback", cfg.rack.failback},
+        {"rack.qos", cfg.rack.qos.enabled},
+    };
+    for (const auto &[option, set] : rack_only)
+        vrio_assert(!classic || !set, "the classic wiring rejects ",
+                    option, ": it requires the rack layer "
+                    "(rack.iohosts >= 1)");
+    vrio_assert(classic || cfg.vrio_via_switch,
+                "the rack layer requires vrio_via_switch wiring: "
+                "placement is a re-addressing, not a re-cabling");
+    vrio_assert(classic ||
+                    cfg.block_backend == ModelConfig::BlockBackend::Direct,
+                "rack mode supports the Direct block backend only");
+    vrio_assert(!(cfg.rack.qos.enabled && cfg.rack.coalesce),
+                "rack.qos and rack.coalesce both re-order the "
+                "fan-out queue; enable at most one");
 
-    const uint32_t io_shard = cfg.num_vmhosts + 1;
-    auto vm_shard = [](unsigned h) { return uint32_t(1 + h); };
-
-    // -- the IOhost -----------------------------------------------------
-    sim::ShardScope iohost_scope(sim, io_shard);
-    hv::MachineConfig iomc;
-    iomc.cores = cfg.sidecores;
-    iomc.ghz = cfg.costs.iohost_ghz;
-    iohost_machine =
-        std::make_unique<hv::Machine>(sim, "vrio.iohost", iomc);
-
-    iohost::IoHypervisorConfig ihc;
-    ihc.num_workers = cfg.sidecores;
-    ihc.polling = cfg.kind == ModelKind::Vrio;
-    ihc.mtu = cfg.vrio_mtu;
-    ihc.batch_max = cfg.iohost_batch_max;
-    ihc.poll_pickup = cfg.iohost_poll_pickup;
-    ihc.worker_ghz = cfg.costs.iohost_ghz;
-    ihc.jitter_p = cfg.costs.worker_jitter.p;
-    ihc.jitter_mean_us = cfg.costs.worker_jitter.mean_us;
-    ihc.stall_p = cfg.costs.worker_stall.p;
-    ihc.stall_mean_us = cfg.costs.worker_stall.mean_us;
-    ihc.jitter_cap_us = cfg.costs.worker_jitter.cap_us;
-    ihc.stall_cap_us = cfg.costs.worker_stall.cap_us;
-    if (cfg.recovery.enabled) {
-        ihc.heartbeat_period = cfg.recovery.heartbeat_period;
-        ihc.watchdog_period = cfg.recovery.watchdog_period;
-        ihc.watchdog_threshold = cfg.recovery.watchdog_threshold;
-    }
-    iohv = std::make_unique<iohost::IoHypervisor>(
-        sim, "vrio.iohv", *iohost_machine, ihc);
-
-    net::NicConfig enc;
-    enc.gbps = cfg.iohost_external_gbps;
-    enc.num_queues = 1;
-    enc.mtu = 64 * 1024;
-    enc.rx_ring_size = 4096;
-    external_nic = std::make_unique<net::Nic>(sim, "vrio.iohost.extnic",
-                                              enc);
-    external_nic->setQueueMac(0, net::MacAddress::local(0x7e0000));
-    rack.connectToSwitch("vrio.iohost.extlink", external_nic->port(),
-                         cfg.iohost_external_gbps);
-    iohv->attachExternalNic(*external_nic);
-
-    // -- switch-path heartbeat egress ------------------------------------
-    bool hb_via_switch =
-        cfg.recovery.enabled && cfg.recovery.heartbeat_via_switch;
-    if (hb_via_switch) {
-        net::NicConfig hbc;
-        hbc.gbps = cfg.direct_link_gbps;
-        hbc.num_queues = 1;
-        hbc.mtu = cfg.vrio_mtu;
-        hb_out_nic = std::make_unique<net::Nic>(
-            sim, "vrio.iohost.hbnic", hbc);
-        hb_out_nic->setQueueMac(0, net::MacAddress::local(0x7d0000));
-        rack.connectToSwitch("vrio.iohost.hblink", hb_out_nic->port(),
-                             cfg.direct_link_gbps);
-        iohv->setHeartbeatNic(*hb_out_nic);
-    }
-
-    // -- standby IOhost (failover target) --------------------------------
-    if (cfg.recovery.standby) {
-        vrio_assert(cfg.recovery.enabled,
-                    "recovery.standby requires recovery.enabled");
-        vrio_assert(cfg.vrio_via_switch,
-                    "a standby IOhost requires vrio_via_switch wiring: "
-                    "failover is a re-addressing, not a re-cabling");
-        hv::MachineConfig smc = iomc;
-        standby_machine =
-            std::make_unique<hv::Machine>(sim, "vrio.standby", smc);
-        // Same knobs as the primary; its heartbeats start at t=0, so
-        // the switch knows its port before any client fails over.
-        standby_iohv = std::make_unique<iohost::IoHypervisor>(
-            sim, "vrio.standby.iohv", *standby_machine, ihc);
-
-        net::NicConfig scn;
-        scn.gbps = cfg.direct_link_gbps;
-        scn.num_queues = 1;
-        scn.mtu = cfg.vrio_mtu;
-        scn.rx_ring_size = cfg.iohost_rx_ring;
-        standby_cnic = std::make_unique<net::Nic>(
-            sim, "vrio.standby.cnic", scn);
-        standby_cnic->setQueueMac(0, net::MacAddress::local(0x7f8000));
-        rack.connectToSwitch("vrio.standby.swport", standby_cnic->port(),
-                             cfg.direct_link_gbps);
-        standby_iohv->attachClientNic(*standby_cnic);
-
-        net::NicConfig sen = enc;
-        standby_extnic = std::make_unique<net::Nic>(
-            sim, "vrio.standby.extnic", sen);
-        standby_extnic->setQueueMac(0, net::MacAddress::local(0x7e8000));
-        rack.connectToSwitch("vrio.standby.extlink",
-                             standby_extnic->port(),
-                             cfg.iohost_external_gbps);
-        standby_iohv->attachExternalNic(*standby_extnic);
-    }
-
-    // -- VMhosts and their direct links to the IOhost --------------------
-    for (unsigned h = 0; h < cfg.num_vmhosts; ++h) {
-        unsigned vms_here =
-            (cfg.num_vms + cfg.num_vmhosts - 1 - h) / cfg.num_vmhosts;
-        if (vms_here == 0)
-            vms_here = 1;
-
-        Host host;
-        unsigned slots = vms_here + cfg.spare_client_slots;
-        host.slot_used.assign(slots, false);
-        for (unsigned i = 0; i < vms_here; ++i)
-            host.slot_used[i] = true;
-        bool tvirtio =
-            cfg.vrio_channel == ModelConfig::VrioChannel::Tvirtio;
-        {
-            // Guest machine and host NIC live on the VMhost's shard.
-            sim::ShardScope host_scope(sim, vm_shard(h));
-            hv::MachineConfig mc;
-            // All local sidecores moved to the IOhost; the T_virtio
-            // fallback brings back a local I/O core for vhost.
-            mc.cores = slots + (tvirtio ? 1 : 0);
-            mc.ghz = cfg.costs.guest_ghz;
-            host.machine = std::make_unique<hv::Machine>(
-                sim, strFormat("vrio.host%u", h), mc);
-
-            net::NicConfig nc;
-            nc.gbps = cfg.direct_link_gbps;
-            nc.num_queues = slots;
-            nc.mtu = cfg.vrio_mtu;
-            nc.intr_coalesce_delay = sim::Tick(600) * sim::kNanosecond;
-            nc.intr_coalesce_frames = 8;
-            host.nic = std::make_unique<net::Nic>(
-                sim, strFormat("vrio.host%u.nic", h), nc);
-        }
-
-        // The per-VMhost client NIC is IOhost hardware: it stays on
-        // the IOhost's shard (the enclosing scope).
-        net::NicConfig ioc;
-        ioc.gbps = cfg.direct_link_gbps;
-        ioc.num_queues = 1;
-        ioc.mtu = cfg.vrio_mtu;
-        ioc.rx_ring_size = cfg.iohost_rx_ring;
-        host.iohost_port = std::make_unique<net::Nic>(
-            sim, strFormat("vrio.iohost.cnic%u", h), ioc);
-        host.iohost_port->setQueueMac(
-            0, net::MacAddress::local(0x7f0000 + h));
-        iohv->attachClientNic(*host.iohost_port);
-
-        if (cfg.vrio_via_switch) {
-            // Section 4.6 alternative: both ends plug into the rack
-            // switch; the T-channel shares the fabric with external
-            // traffic and pays the forwarding latency, but VMhosts
-            // stay reachable if the IOhost is replaced.
-            channel_links.push_back(
-                &rack.connectToSwitch(strFormat("vrio.swlink%u", h),
-                                      host.nic->port(),
-                                      cfg.direct_link_gbps));
-            channel_links.push_back(
-                &rack.connectToSwitch(strFormat("vrio.swport%u", h),
-                                      host.iohost_port->port(),
-                                      cfg.direct_link_gbps));
-        } else {
-            channel_links.push_back(&rack.directLink(
-                strFormat("vrio.dlink%u", h), host.nic->port(),
-                host.iohost_port->port(), cfg.direct_link_gbps,
-                cfg.vrio_channel_loss, cfg.direct_link_latency));
-        }
-
-        if (hb_via_switch) {
-            // Beacon RX hardware is VMhost-side: the NIC and its
-            // reassembler (which captures the shard event queue) must
-            // live on the VMhost's shard.
-            sim::ShardScope host_scope(sim, vm_shard(h));
-            net::NicConfig hbc;
-            hbc.gbps = cfg.direct_link_gbps;
-            hbc.num_queues = 1;
-            hbc.mtu = cfg.vrio_mtu;
-            host.hb_nic = std::make_unique<net::Nic>(
-                sim, strFormat("vrio.host%u.hbnic", h), hbc);
-            host.hb_nic->setQueueMac(
-                0, net::MacAddress::local(0x7c0000 + h));
-            rack.connectToSwitch(strFormat("vrio.hblink%u", h),
-                                 host.hb_nic->port(),
-                                 cfg.direct_link_gbps);
-            host.hb_reasm = std::make_unique<transport::Reassembler>(
-                sim.events(), cfg.vrio_mtu);
-            host.hb_nic->setRxHandler(0, [this, h](unsigned q) {
-                deliverSwitchHeartbeats(h, q);
-            });
-        }
-        hosts.push_back(std::move(host));
-    }
-
-    // -- clients and their consolidated devices --------------------------
-    for (unsigned v = 0; v < cfg.num_vms; ++v) {
-        unsigned h = v % cfg.num_vmhosts;
-        unsigned slot = v / cfg.num_vmhosts;
-        auto f_mac = net::MacAddress::local(0x500000 + v);
-        auto t_mac = net::MacAddress::local(0x400000 + v);
-        hv::ClientKind kind = v < cfg.client_kinds.size()
-                                  ? cfg.client_kinds[v]
-                                  : hv::ClientKind::KvmGuest;
-        hv::Core *io_core = nullptr;
-        if (cfg.vrio_channel == ModelConfig::VrioChannel::Tvirtio) {
-            hv::Machine &m = *hosts[h].machine;
-            io_core = &m.core(m.coreCount() - 1);
-        }
-        std::unique_ptr<Client> client;
-        {
-            // The IOclient runs inside the guest: its VM, timers and
-            // per-client telemetry belong to its VMhost's shard.
-            sim::ShardScope client_scope(sim, vm_shard(h));
-            client = std::make_unique<Client>(
-                *this, h, v, slot, hosts[h].nic.get(), f_mac, t_mac,
-                hosts[h].iohost_port->queueMac(0), kind, io_core,
-                strFormat("vrio.vm%u", v));
-        }
-
-        interpose::Chain *net_chain = nullptr;
-        interpose::Chain *blk_chain = nullptr;
-        if (cfg.chain_factory) {
-            net_chain = cfg.chain_factory(client->netDeviceId(), false);
-            blk_chain = cfg.chain_factory(client->blkDeviceId(), true);
-        }
-
-        iohv->mapClientPort(t_mac, h);
-        if (hb_via_switch) {
-            iohv->mapHeartbeatPath(t_mac,
-                                   hosts[h].hb_nic->queueMac(0));
-            client->hb_alt_src = hb_out_nic->queueMac(0);
-            client->hb_alt_home = hosts[h].iohost_port->queueMac(0);
-            client->hb_alt_set = true;
-        }
-
-        iohost::NetDeviceEntry nd;
-        nd.device_id = client->netDeviceId();
-        nd.f_mac = f_mac;
-        nd.t_mac = t_mac;
-        nd.chain = net_chain;
-        iohv->addNetDevice(nd);
-        if (standby_iohv) {
-            // The standby consolidates the same devices, ready to
-            // serve the moment a client re-homes to it.
-            standby_iohv->mapClientPort(t_mac, 0);
-            standby_iohv->addNetDevice(nd);
-        }
-
-        if (cfg.with_block) {
-            std::unique_ptr<block::BlockDevice> disk;
-            if (cfg.block_backend == ModelConfig::BlockBackend::Nvme) {
-                // Still under the enclosing IOhost ShardScope: the
-                // controller, its rings and the backing device all
-                // live on the IOhost's shard with the workers that
-                // poke them.
-                if (!nvme_shared)
-                    setupNvmeShared();
-                uint64_t per_vm = (cfg.block_use_ssd
-                                       ? cfg.ssd_cfg.capacity_bytes
-                                       : cfg.ramdisk_cfg.capacity_bytes) /
-                                  virtio::kSectorSize;
-                uint32_t nsid = nvme_shared->ctrl->addNamespace(per_vm);
-                disk = std::make_unique<nvme::NvmeBackedDevice>(
-                    sim, strFormat("vrio.iohost.nvme.ns%u", v),
-                    *nvme_shared->qp, nsid);
-            } else if (cfg.block_use_ssd) {
-                disk = std::make_unique<block::SsdModel>(
-                    sim, strFormat("vrio.iohost.ssd%u", v), cfg.ssd_cfg);
-            } else {
-                disk = std::make_unique<block::RamDisk>(
-                    sim, strFormat("vrio.iohost.rd%u", v),
-                    cfg.ramdisk_cfg);
-            }
-            iohost::BlockDeviceEntry bd;
-            bd.device_id = client->blkDeviceId();
-            bd.t_mac = t_mac;
-            bd.device = disk.get();
-            bd.chain = blk_chain;
-            iohv->addBlockDevice(bd);
-            if (standby_iohv) {
-                // Shared backing store: replayed requests land on the
-                // same blocks whichever IOhost serves them.
-                standby_iohv->addBlockDevice(bd);
-            }
-            client->attachRemoteDisk(disk->capacitySectors());
-            remote_disks.push_back(std::move(disk));
-        }
-
-        clients.push_back(std::move(client));
-    }
-
-    // -- client-side heartbeat monitoring --------------------------------
-    if (cfg.recovery.enabled && cfg.recovery.heartbeat_period > 0) {
-        sim::Tick window = sim::Tick(cfg.recovery.heartbeat_miss) *
-                           cfg.recovery.heartbeat_period;
-        for (auto &client : clients) {
-            client->hb_lapse_window = window;
-            if (standby_cnic) {
-                client->has_standby = true;
-                client->standby_mac = standby_cnic->queueMac(0);
-            }
-            // The lapse timer must fire on the client's own shard.
-            sim::ShardScope client_scope(
-                sim, vm_shard(client->host_index));
-            client->armHeartbeatMonitor();
-        }
-    }
-
-    // -- device-creation handshake at simulation start -------------------
-    // The I/O hypervisor announces each consolidated device to its
-    // IOclient (Section 4.1); clients ack over the same channel.
-    sim.events().schedule(0, [this]() {
-        for (auto &client : clients) {
-            transport::DeviceCreateCmd cmd;
-            cmd.kind = transport::DeviceKind::Net;
-            cmd.device_id = client->netDeviceId();
-            cmd.mac = client->mac();
-            iohv->sendDeviceCreate(cmd, client->tMac());
-            if (client->hasBlockDevice()) {
-                transport::DeviceCreateCmd bcmd;
-                bcmd.kind = transport::DeviceKind::Block;
-                bcmd.device_id = client->blkDeviceId();
-                bcmd.capacity_sectors = client->blk_capacity;
-                iohv->sendDeviceCreate(bcmd, client->tMac());
-            }
-        }
-    });
-}
-
-void
-VrioModel::buildRack()
-{
-    auto &sim = rack_.sim();
-    const ModelConfig &cfg = cfg_;
-    const unsigned R = cfg.rack.iohosts;
+    const unsigned R = classic ? 1 : cfg.rack.iohosts;
     auto vm_shard = [](unsigned h) { return uint32_t(1 + h); };
     auto io_shard = [&cfg](unsigned k) {
         return uint32_t(1 + cfg.num_vmhosts + k);
@@ -1151,8 +787,9 @@ VrioModel::buildRack()
         ihc.heartbeat_period = cfg.recovery.heartbeat_period;
         ihc.watchdog_period = cfg.recovery.watchdog_period;
         ihc.watchdog_threshold = cfg.recovery.watchdog_threshold;
-        // Beats double as the placement policy's load feed.
-        ihc.advertise_load = true;
+        // Rack beats double as the placement policy's load feed; the
+        // classic wiring has nothing to place and keeps the plain beat.
+        ihc.advertise_load = !classic;
     }
     ihc.coalesce = cfg.rack.coalesce;
     ihc.coalesce_window = cfg.rack.coalesce_window;
@@ -1171,30 +808,38 @@ VrioModel::buildRack()
                                 : cfg.ramdisk_cfg.capacity_bytes;
     uint64_t per_vm_sectors = per_vm_bytes / virtio::kSectorSize;
 
-    // -- the rack IOhosts, one shard each --------------------------------
+    // -- the IOhosts, one shard each -------------------------------------
     for (unsigned k = 0; k < R; ++k) {
         sim::ShardScope scope(sim, io_shard(k));
+        // The classic IOhost keeps its unnumbered object names.
+        auto named = [classic, k](const char *base, const char *leaf) {
+            return classic ? strFormat("%s%s", base, leaf)
+                           : strFormat("%s%u%s", base, k, leaf);
+        };
         RackIoHost io;
         hv::MachineConfig iomc;
         iomc.cores = cfg.sidecores;
         iomc.ghz = cfg.costs.iohost_ghz;
         io.machine = std::make_unique<hv::Machine>(
-            sim, strFormat("vrio.iohost%u", k), iomc);
+            sim, named("vrio.iohost", ""), iomc);
         io.iohv = std::make_unique<iohost::IoHypervisor>(
-            sim, strFormat("vrio.iohv%u", k), *io.machine, ihc);
+            sim, named("vrio.iohv", ""), *io.machine, ihc);
 
-        net::NicConfig cnc;
-        cnc.gbps = cfg.direct_link_gbps;
-        cnc.num_queues = 1;
-        cnc.mtu = cfg.vrio_mtu;
-        cnc.rx_ring_size = cfg.iohost_rx_ring;
-        io.cnic = std::make_unique<net::Nic>(
-            sim, strFormat("vrio.iohost%u.cnic", k), cnc);
-        io.cnic->setQueueMac(0, net::MacAddress::local(0x7f0000 + k));
-        channel_links.push_back(&rack_.connectToSwitch(
-            strFormat("vrio.iohost%u.swport", k), io.cnic->port(),
-            cfg.direct_link_gbps));
-        io.iohv->attachClientNic(*io.cnic);
+        if (!classic) {
+            // Rack cabling: one client port per IOhost on the switch.
+            net::NicConfig cnc;
+            cnc.gbps = cfg.direct_link_gbps;
+            cnc.num_queues = 1;
+            cnc.mtu = cfg.vrio_mtu;
+            cnc.rx_ring_size = cfg.iohost_rx_ring;
+            io.cnic = std::make_unique<net::Nic>(
+                sim, strFormat("vrio.iohost%u.cnic", k), cnc);
+            io.cnic->setQueueMac(0, net::MacAddress::local(0x7f0000 + k));
+            channel_links.push_back(&rack_.connectToSwitch(
+                strFormat("vrio.iohost%u.swport", k), io.cnic->port(),
+                cfg.direct_link_gbps));
+            io.iohv->attachClientNic(*io.cnic);
+        }
 
         net::NicConfig enc;
         enc.gbps = cfg.iohost_external_gbps;
@@ -1202,9 +847,9 @@ VrioModel::buildRack()
         enc.mtu = 64 * 1024;
         enc.rx_ring_size = 4096;
         io.extnic = std::make_unique<net::Nic>(
-            sim, strFormat("vrio.iohost%u.extnic", k), enc);
+            sim, named("vrio.iohost", ".extnic"), enc);
         io.extnic->setQueueMac(0, net::MacAddress::local(0x7e0000 + k));
-        rack_.connectToSwitch(strFormat("vrio.iohost%u.extlink", k),
+        rack_.connectToSwitch(named("vrio.iohost", ".extlink"),
                               io.extnic->port(),
                               cfg.iohost_external_gbps);
         io.iohv->attachExternalNic(*io.extnic);
@@ -1230,10 +875,11 @@ VrioModel::buildRack()
             io.iohv->attachReplicationNic(*io.rnic);
         }
 
-        if (cfg.with_block) {
-            // Each IOhost serves its own replica of the rack volume
-            // (replicated-at-rest), so every VM's device works on
-            // every IOhost and a placement move needs no data motion.
+        if (cfg.with_block && !classic) {
+            // Rack backing: each IOhost serves its own replica of the
+            // rack volume (replicated-at-rest), so every VM's device
+            // works on every IOhost and a placement move needs no data
+            // motion.
             uint64_t cap = cfg.rack.shared_volume
                                ? per_vm_bytes
                                : per_vm_bytes * cfg.num_vms;
@@ -1272,7 +918,7 @@ VrioModel::buildRack()
         }
     }
 
-    // -- VMhosts, switch-wired (no per-host IOhost port) -----------------
+    // -- VMhosts and their channel cabling -------------------------------
     for (unsigned h = 0; h < cfg.num_vmhosts; ++h) {
         unsigned vms_here =
             (cfg.num_vms + cfg.num_vmhosts - 1 - h) / cfg.num_vmhosts;
@@ -1286,8 +932,11 @@ VrioModel::buildRack()
         bool tvirtio =
             cfg.vrio_channel == ModelConfig::VrioChannel::Tvirtio;
         {
+            // Guest machine and host NIC live on the VMhost's shard.
             sim::ShardScope host_scope(sim, vm_shard(h));
             hv::MachineConfig mc;
+            // All local sidecores moved to the IOhost; the T_virtio
+            // fallback brings back a local I/O core for vhost.
             mc.cores = slots + (tvirtio ? 1 : 0);
             mc.ghz = cfg.costs.guest_ghz;
             host.machine = std::make_unique<hv::Machine>(
@@ -1302,16 +951,54 @@ VrioModel::buildRack()
             host.nic = std::make_unique<net::Nic>(
                 sim, strFormat("vrio.host%u.nic", h), nc);
         }
-        channel_links.push_back(&rack_.connectToSwitch(
-            strFormat("vrio.swlink%u", h), host.nic->port(),
-            cfg.direct_link_gbps));
+
+        if (classic) {
+            // Classic cabling: the IOhost has one client port per
+            // VMhost.  The port is IOhost hardware, so it lives on the
+            // IOhost's shard.
+            sim::ShardScope iohost_scope(sim, io_shard(0));
+            net::NicConfig ioc;
+            ioc.gbps = cfg.direct_link_gbps;
+            ioc.num_queues = 1;
+            ioc.mtu = cfg.vrio_mtu;
+            ioc.rx_ring_size = cfg.iohost_rx_ring;
+            host.iohost_port = std::make_unique<net::Nic>(
+                sim, strFormat("vrio.iohost.cnic%u", h), ioc);
+            host.iohost_port->setQueueMac(
+                0, net::MacAddress::local(0x7f0000 + h));
+            rio[0].iohv->attachClientNic(*host.iohost_port);
+            if (cfg.vrio_via_switch) {
+                // Section 4.6 alternative: both ends plug into the
+                // rack switch; the T-channel shares the fabric with
+                // external traffic and pays the forwarding latency,
+                // but VMhosts stay reachable if the IOhost is replaced.
+                channel_links.push_back(&rack_.connectToSwitch(
+                    strFormat("vrio.swlink%u", h), host.nic->port(),
+                    cfg.direct_link_gbps));
+                channel_links.push_back(&rack_.connectToSwitch(
+                    strFormat("vrio.swport%u", h),
+                    host.iohost_port->port(), cfg.direct_link_gbps));
+            } else {
+                channel_links.push_back(&rack_.directLink(
+                    strFormat("vrio.dlink%u", h), host.nic->port(),
+                    host.iohost_port->port(), cfg.direct_link_gbps,
+                    cfg.vrio_channel_loss, cfg.direct_link_latency));
+            }
+        } else {
+            // Rack cabling: the VMhost plugs into the switch; the
+            // IOhost ports were cabled with their IOhosts above.
+            channel_links.push_back(&rack_.connectToSwitch(
+                strFormat("vrio.swlink%u", h), host.nic->port(),
+                cfg.direct_link_gbps));
+        }
         hosts.push_back(std::move(host));
     }
 
-    // -- clients, homed round-robin, consolidated everywhere -------------
+    // -- clients, homed round-robin, consolidated on every IOhost --------
     std::vector<net::MacAddress> rack_macs;
     for (auto &io : rio)
-        rack_macs.push_back(io.cnic->queueMac(0));
+        if (io.cnic)
+            rack_macs.push_back(io.cnic->queueMac(0));
     auto &m = sim.telemetry().metrics;
 
     for (unsigned v = 0; v < cfg.num_vms; ++v) {
@@ -1328,25 +1015,31 @@ VrioModel::buildRack()
             hv::Machine &mach = *hosts[h].machine;
             io_core = &mach.core(mach.coreCount() - 1);
         }
+        // A classic client's home table is its VMhost's own port.
+        auto homes = classic
+                         ? std::vector{hosts[h].iohost_port->queueMac(0)}
+                         : rack_macs;
         std::unique_ptr<Client> client;
         {
+            // The IOclient runs inside the guest: its VM, timers and
+            // per-client telemetry belong to its VMhost's shard.
             sim::ShardScope client_scope(sim, vm_shard(h));
             client = std::make_unique<Client>(
                 *this, h, v, slot, hosts[h].nic.get(), f_mac, t_mac,
-                rack_macs[home], kind, io_core,
+                std::move(homes), home, kind, io_core,
                 strFormat("vrio.vm%u", v));
         }
-        client->rack_macs = rack_macs;
-        client->rack_home = home;
-        client->boot_home = home;
         client->failback_ = cfg.rack.failback;
         client->rack_repl_ = cfg.rack.replication;
-        client->rack_loads.assign(R, {});
         client->place_cfg.imbalance_ratio = cfg.rack.resteer_ratio;
         client->resteer_dwell = cfg.rack.resteer_dwell;
-        client->resteer_counter = &m.counter(
-            "rack.resteers",
-            telemetry::Labels{{"vm", strFormat("vrio.vm%u", v)}});
+        if (!classic) {
+            // Moves between IOhosts are a rack metric; the classic
+            // registry carries no series for them.
+            client->resteer_counter = &m.counter(
+                "rack.resteers",
+                telemetry::Labels{{"vm", strFormat("vrio.vm%u", v)}});
+        }
 
         interpose::Chain *net_chain = nullptr;
         interpose::Chain *blk_chain = nullptr;
@@ -1361,22 +1054,49 @@ VrioModel::buildRack()
         nd.t_mac = t_mac;
         nd.chain = net_chain;
         for (auto &io : rio) {
-            io.iohv->mapClientPort(t_mac, 0);
+            io.iohv->mapClientPort(t_mac, classic ? h : 0);
             io.iohv->addNetDevice(nd);
         }
 
         if (cfg.with_block) {
-            for (unsigned k = 0; k < R; ++k) {
+            std::unique_ptr<block::BlockDevice> disk;
+            if (classic) {
+                // Classic backing: one disk per VM.  The disk (and with
+                // NVMe the shared controller, its rings and backing
+                // device) lives on the IOhost's shard with the workers
+                // that poke it.
+                sim::ShardScope iohost_scope(sim, io_shard(0));
+                if (cfg.block_backend == ModelConfig::BlockBackend::Nvme) {
+                    if (!nvme_shared)
+                        setupNvmeShared();
+                    uint32_t nsid =
+                        nvme_shared->ctrl->addNamespace(per_vm_sectors);
+                    disk = std::make_unique<nvme::NvmeBackedDevice>(
+                        sim, strFormat("vrio.iohost.nvme.ns%u", v),
+                        *nvme_shared->qp, nsid);
+                } else if (cfg.block_use_ssd) {
+                    disk = std::make_unique<block::SsdModel>(
+                        sim, strFormat("vrio.iohost.ssd%u", v),
+                        cfg.ssd_cfg);
+                } else {
+                    disk = std::make_unique<block::RamDisk>(
+                        sim, strFormat("vrio.iohost.rd%u", v),
+                        cfg.ramdisk_cfg);
+                }
+            }
+            for (auto &io : rio) {
                 iohost::BlockDeviceEntry bd;
                 bd.device_id = client->blkDeviceId();
                 bd.t_mac = t_mac;
-                bd.device = rio[k].store.get();
+                bd.device = disk ? disk.get() : io.store.get();
                 bd.chain = blk_chain;
                 bd.ns_id = v;
-                bd.sector_offset = cfg.rack.shared_volume
+                // Rack stores hold every VM at its own offset unless
+                // the volume is shared.
+                bd.sector_offset = classic || cfg.rack.shared_volume
                                        ? 0
                                        : uint64_t(v) * per_vm_sectors;
-                rio[k].iohv->addBlockDevice(bd);
+                io.iohv->addBlockDevice(bd);
                 if (cfg.rack.qos.enabled) {
                     qos::TenantConfig tc;
                     tc.weight = v < cfg.rack.qos.weights.size()
@@ -1385,10 +1105,12 @@ VrioModel::buildRack()
                     tc.slo = v < cfg.rack.qos.slos.size()
                                  ? cfg.rack.qos.slos[v]
                                  : cfg.rack.qos.default_slo;
-                    rio[k].iohv->setTenant(bd.device_id, tc);
+                    io.iohv->setTenant(bd.device_id, tc);
                 }
             }
             client->attachRemoteDisk(per_vm_sectors);
+            if (disk)
+                remote_disks.push_back(std::move(disk));
         }
         clients.push_back(std::move(client));
     }
@@ -1399,6 +1121,7 @@ VrioModel::buildRack()
                            cfg.recovery.heartbeat_period;
         for (auto &client : clients) {
             client->hb_lapse_window = window;
+            // The lapse timer must fire on the client's own shard.
             sim::ShardScope client_scope(sim,
                                          vm_shard(client->host_index));
             client->armHeartbeatMonitor();
@@ -1406,6 +1129,8 @@ VrioModel::buildRack()
     }
 
     // -- device-creation handshake: the HOME IOhost announces ------------
+    // The I/O hypervisor announces each consolidated device to its
+    // IOclient (Section 4.1); clients ack over the same channel.
     // Announcing from every IOhost would multiply the handshake R-fold
     // for no information; peers serve the same device ids regardless.
     for (unsigned k = 0; k < R; ++k) {
@@ -1464,27 +1189,6 @@ VrioModel::setupNvmeShared()
 
 VrioModel::~VrioModel() = default;
 
-void
-VrioModel::deliverSwitchHeartbeats(unsigned h, unsigned q)
-{
-    Host &host = hosts[h];
-    for (const auto &frame : host.hb_nic->rxTake(q, 64)) {
-        auto msg = host.hb_reasm->feed(*frame);
-        if (!msg)
-            continue;
-        auto beat = host.hb_asm.feed(std::move(*msg));
-        if (!beat || beat->hdr.type != MsgType::Heartbeat)
-            continue;
-        // The IOhost stamps the target T-MAC into the request serial;
-        // deliver the beat to that client alone.
-        for (auto &client : clients) {
-            if (client->host_index == h &&
-                client->t_mac.toU64() == beat->hdr.request_serial)
-                client->receiveHeartbeat(*beat);
-        }
-    }
-}
-
 GuestEndpoint &
 VrioModel::guest(unsigned vm_index)
 {
@@ -1503,14 +1207,9 @@ std::vector<const sim::Resource *>
 VrioModel::ioResources() const
 {
     std::vector<const sim::Resource *> out;
-    if (!rio.empty()) {
-        for (const auto &io : rio)
-            for (unsigned w = 0; w < cfg_.sidecores; ++w)
-                out.push_back(&io.machine->core(w).resource());
-        return out;
-    }
-    for (unsigned w = 0; w < cfg_.sidecores; ++w)
-        out.push_back(&iohost_machine->core(w).resource());
+    for (const auto &io : rio)
+        for (unsigned w = 0; w < cfg_.sidecores; ++w)
+            out.push_back(&io.machine->core(w).resource());
     return out;
 }
 
@@ -1519,7 +1218,7 @@ VrioModel::migrateClient(unsigned vm_index, unsigned to_host)
 {
     vrio_assert(vm_index < clients.size(), "bad VM ", vm_index);
     vrio_assert(to_host < hosts.size(), "bad host ", to_host);
-    vrio_assert(rio.empty(),
+    vrio_assert(cfg_.rack.iohosts == 0,
                 "migrateClient is not supported in rack mode (a rack "
                 "client moves between IOhosts, not VMhosts)");
     Client &client = *clients[vm_index];
@@ -1542,7 +1241,7 @@ VrioModel::migrateClient(unsigned vm_index, unsigned to_host)
                   dst.machine->core(new_vf),
                   dst.iohost_port->queueMac(0));
     // Redirect the IOhost's egress for this client to the new port.
-    iohv->mapClientPort(client.tMac(), to_host);
+    rio[0].iohv->mapClientPort(client.tMac(), to_host);
 }
 
 unsigned
@@ -1561,34 +1260,35 @@ VrioModel::allNics() const
             out.push_back(host.iohost_port.get());
     }
     for (const auto &io : rio) {
-        out.push_back(io.cnic.get());
+        if (io.cnic)
+            out.push_back(io.cnic.get());
         out.push_back(io.extnic.get());
         if (io.rnic)
             out.push_back(io.rnic.get());
     }
-    if (external_nic)
-        out.push_back(external_nic.get());
     return out;
 }
 
 std::vector<net::Nic *>
 VrioModel::iohostClientNics()
 {
+    // One client port per VMhost (classic) or per IOhost (rack).
     std::vector<net::Nic *> out;
-    if (!rio.empty()) {
-        for (auto &io : rio)
-            out.push_back(io.cnic.get());
-        return out;
-    }
     for (auto &host : hosts)
-        out.push_back(host.iohost_port.get());
+        if (host.iohost_port)
+            out.push_back(host.iohost_port.get());
+    for (auto &io : rio)
+        if (io.cnic)
+            out.push_back(io.cnic.get());
     return out;
 }
 
 net::MacAddress
 VrioModel::rackIoHostMac(unsigned k) const
 {
-    return rio.at(k).cnic->queueMac(0);
+    vrio_assert(rio.at(k).cnic, "the classic wiring has one IOhost "
+                                "client port per VMhost, not per IOhost");
+    return rio[k].cnic->queueMac(0);
 }
 
 uint64_t
@@ -1606,13 +1306,10 @@ VrioModel::clientHomeIoHost(unsigned vm_index) const
 uint64_t
 VrioModel::iohostInterrupts() const
 {
-    if (!rio.empty()) {
-        uint64_t total = 0;
-        for (const auto &io : rio)
-            total += io.iohv->interruptsTaken();
-        return total;
-    }
-    return iohv->interruptsTaken();
+    uint64_t total = 0;
+    for (const auto &io : rio)
+        total += io.iohv->interruptsTaken();
+    return total;
 }
 
 uint64_t
@@ -1673,7 +1370,6 @@ void
 VrioModel::scheduleRehome(unsigned vm_index, unsigned target,
                           sim::Tick at)
 {
-    vrio_assert(!rio.empty(), "scheduleRehome requires rack mode");
     vrio_assert(cfg_.rack.replication,
                 "scheduleRehome requires rack.replication (a cold "
                 "target has no warm state to activate)");

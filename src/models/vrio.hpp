@@ -30,21 +30,18 @@ class VrioModel : public IoModel
     std::vector<const sim::Resource *> ioResources() const override;
     uint64_t iohostInterrupts() const override;
 
-    /** The (first) I/O hypervisor — rack IOhost 0 in rack mode. */
+    /** The (first) I/O hypervisor: rack IOhost 0. */
     iohost::IoHypervisor &hypervisor() { return rackHypervisor(0); }
 
-    // -- multi-IOhost rack (cfg.rack.iohosts >= 1) --------------------
-    /** Rack IOhosts serving this model (1 for the historical wiring). */
-    unsigned rackIoHostCount() const
-    {
-        return rio.empty() ? 1u : unsigned(rio.size());
-    }
-    /** Rack IOhost @p k (the historical IOhost when not in rack mode). */
+    // -- rack IOhosts (the classic wiring is a rack of one) -----------
+    /** IOhosts serving this model (1 for the classic wiring). */
+    unsigned rackIoHostCount() const { return unsigned(rio.size()); }
+    /** Rack IOhost @p k (k = 0 is the classic wiring's IOhost). */
     iohost::IoHypervisor &rackHypervisor(unsigned k)
     {
-        return rio.empty() ? *iohv : *rio.at(k).iohv;
+        return *rio.at(k).iohv;
     }
-    /** Client-channel MAC of rack IOhost @p k. */
+    /** Client-channel MAC of rack IOhost @p k (rack wiring only). */
     net::MacAddress rackIoHostMac(unsigned k) const;
     /** Placement moves (voluntary re-steers + failovers) of a client. */
     uint64_t clientResteers(unsigned vm_index) const;
@@ -55,10 +52,11 @@ class VrioModel : public IoModel
     std::vector<const net::Nic *> allNics() const;
 
     /**
-     * The T-channel links between VMhosts and the IOhost (one per
-     * VMhost when wired directly, two when wired via the switch).
-     * Fault injection interposes on these to model channel loss,
-     * corruption, and delay.
+     * The T-channel links between VMhosts and the IOhosts.  Classic
+     * wiring: one per VMhost when wired directly, two when wired via
+     * the switch.  Rack wiring: each IOhost's client (and replication)
+     * switch port, then each VMhost's switch link.  Fault injection
+     * interposes on these to model channel loss, corruption, and delay.
      */
     const std::vector<net::Link *> &channelLinks() const
     {
@@ -91,18 +89,6 @@ class VrioModel : public IoModel
     uint64_t clientDevCreates(unsigned vm_index) const;
 
     // -- failure detection / recovery (cfg.recovery) ------------------
-    /** The standby IOhost, or null when recovery.standby is off. */
-    iohost::IoHypervisor *standbyHypervisor()
-    {
-        return standby_iohv.get();
-    }
-    /**
-     * The IOhost-side beacon NIC carrying switch-path heartbeats, or
-     * null unless recovery.heartbeat_via_switch (fault-injection
-     * target: killing its switch port starves every beat while the
-     * data path stays up).
-     */
-    net::Nic *heartbeatBeaconNic() { return hb_out_nic.get(); }
     uint64_t clientHeartbeatsSeen(unsigned vm_index) const;
     uint64_t clientHeartbeatLapses(unsigned vm_index) const;
     uint64_t clientFailovers(unsigned vm_index) const;
@@ -146,29 +132,16 @@ class VrioModel : public IoModel
     {
         std::unique_ptr<hv::Machine> machine;
         std::unique_ptr<net::Nic> nic; ///< T-channel SRIOV NIC
-        std::unique_ptr<net::Nic> iohost_port; ///< IOhost end of the link
+        /** IOhost end of this host's channel (classic wiring only). */
+        std::unique_ptr<net::Nic> iohost_port;
         /** Occupancy of each vCPU/VF slot on this host. */
         std::vector<bool> slot_used;
-        // Switch-path heartbeat receiver
-        // (recovery.heartbeat_via_switch): beats for this host's
-        // clients arrive here instead of over the client channel.
-        std::unique_ptr<net::Nic> hb_nic;
-        std::unique_ptr<transport::Reassembler> hb_reasm;
-        transport::MessageAssembler hb_asm;
     };
-
-    /** Reassemble and fan in switch-path heartbeats on host @p h. */
-    void deliverSwitchHeartbeats(unsigned h, unsigned q);
 
     std::vector<Host> hosts;
     std::vector<std::unique_ptr<Client>> clients;
     std::vector<net::Link *> channel_links;
-
-    std::unique_ptr<hv::Machine> iohost_machine;
-    std::unique_ptr<net::Nic> external_nic;
-    /** IOhost-side beacon NIC (recovery.heartbeat_via_switch). */
-    std::unique_ptr<net::Nic> hb_out_nic;
-    std::unique_ptr<iohost::IoHypervisor> iohv;
+    /** Per-VM disks of the classic wiring (rack IOhosts own a store). */
     std::vector<std::unique_ptr<block::BlockDevice>> remote_disks;
 
     /**
@@ -188,37 +161,33 @@ class VrioModel : public IoModel
     std::unique_ptr<NvmeShared> nvme_shared;
     void setupNvmeShared();
 
-    // Standby IOhost (recovery.standby).
-    std::unique_ptr<hv::Machine> standby_machine;
-    std::unique_ptr<net::Nic> standby_cnic;
-    std::unique_ptr<net::Nic> standby_extnic;
-    std::unique_ptr<iohost::IoHypervisor> standby_iohv;
-
     /**
-     * One rack IOhost (cfg.rack.iohosts >= 1): its own machine,
-     * client/external switch ports, and backing store.  Stores are
-     * replicated-at-rest across the rack — every IOhost consolidates
-     * every client's devices over its own replica, so any IOhost can
-     * serve any client and a placement move needs no data motion.
-     * Without cfg.rack.replication the simulation does not model
-     * cross-replica write propagation, so tests must not assert
-     * read-your-write across a re-steer; with it on, committed writes
-     * propagate to the warm peer's store (DESIGN.md §16) and
+     * One IOhost: its own machine, external switch port, and (rack
+     * wiring) client switch port and backing store.  The classic
+     * wiring (cfg.rack.iohosts == 0) is a rack of one whose client
+     * ports are per VMhost (Host::iohost_port) and whose disks are per
+     * VM (remote_disks).  Rack stores are replicated-at-rest — every
+     * IOhost consolidates every client's devices over its own replica,
+     * so any IOhost can serve any client and a placement move needs no
+     * data motion.  Without cfg.rack.replication the simulation does
+     * not model cross-replica write propagation, so tests must not
+     * assert read-your-write across a re-steer; with it on, committed
+     * writes propagate to the warm peer's store (DESIGN.md §16) and
      * read-your-write holds across a failover or re-home onto it.
      */
     struct RackIoHost
     {
         std::unique_ptr<hv::Machine> machine;
+        /** Client switch port (rack wiring only). */
         std::unique_ptr<net::Nic> cnic;
         std::unique_ptr<net::Nic> extnic;
         /** Replication control channel (cfg.rack.replication only). */
         std::unique_ptr<net::Nic> rnic;
         std::unique_ptr<iohost::IoHypervisor> iohv;
+        /** Shared backing store (rack wiring with cfg.with_block). */
         std::unique_ptr<block::BlockDevice> store;
     };
     std::vector<RackIoHost> rio;
-    /** Build the multi-IOhost wiring (replaces the legacy body). */
-    void buildRack();
 };
 
 } // namespace vrio::models

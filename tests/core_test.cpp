@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "core/vrio.hpp"
 
 namespace vrio {
@@ -35,6 +37,19 @@ TEST(Testbed, ConfigureHookApplies)
     };
     core::Testbed tb(ModelKind::Vrio, 1, options);
     EXPECT_TRUE(tb.guest(0).hasBlockDevice());
+}
+
+TEST(Testbed, RackCoalesceEnvImpliesRackMode)
+{
+    // Coalescing sits at a rack IOhost's fan-out point: the switch
+    // must build the rack, not a classic wiring that cannot coalesce.
+    ::setenv("VRIO_RACK_COALESCE", "1", 1);
+    core::Testbed tb(ModelKind::Vrio, 2);
+    ::unsetenv("VRIO_RACK_COALESCE");
+    const models::ModelConfig &mc = tb.model().config();
+    EXPECT_TRUE(mc.rack.coalesce);
+    EXPECT_EQ(mc.rack.iohosts, 1u);
+    EXPECT_TRUE(mc.vrio_via_switch);
 }
 
 TEST(Testbed, RunsAreDeterministic)

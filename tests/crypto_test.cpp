@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "crypto/aes.hpp"
 #include "crypto/modes.hpp"
 #include "sim/random.hpp"
@@ -28,6 +30,14 @@ struct AesVector
     const char *plain;
     const char *cipher;
 };
+
+// Name each vector by its key size; the default printer would dump
+// the three string pointers, which differ on every run.
+void
+PrintTo(const AesVector &v, std::ostream *os)
+{
+    *os << "aes" << std::strlen(v.key) * 4;
+}
 
 class AesKat : public ::testing::TestWithParam<AesVector>
 {};

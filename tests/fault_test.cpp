@@ -609,19 +609,22 @@ TEST(Recovery, WatchdogDetectsAndReSteersWedgedWorker)
 
 TEST(Recovery, HeartbeatLapseFailsOverToStandby)
 {
+    // A rack of two IOhosts: VM 0 is homed on IOhost 0, and IOhost 1
+    // is its cold standby.
     bench::SweepOptions opt;
     opt.warmup = 5 * kMillisecond;
     opt.tweak = [](models::ModelConfig &mc) {
         mc.with_block = true;
         mc.vrio_via_switch = true;
         mc.recovery.enabled = true;
-        mc.recovery.standby = true;
+        mc.rack.iohosts = 2;
     };
     bench::Experiment exp(ModelKind::Vrio, 1, opt);
     exp.settle();
     auto *vm = dynamic_cast<models::VrioModel *>(exp.model);
     ASSERT_NE(vm, nullptr);
-    ASSERT_NE(vm->standbyHypervisor(), nullptr);
+    ASSERT_EQ(vm->rackIoHostCount(), 2u);
+    ASSERT_EQ(vm->clientHomeIoHost(0), 0u);
 
     auto wls = startFilebench(exp, 1);
     exp.sim->runUntil(exp.sim->now() + opt.warmup);
@@ -646,6 +649,7 @@ TEST(Recovery, HeartbeatLapseFailsOverToStandby)
 
     // The standby now serves the channel while the primary is dark.
     EXPECT_TRUE(vm->hypervisor().offline());
+    EXPECT_EQ(vm->clientHomeIoHost(0), 1u);
     uint64_t at_check = totalOps(wls);
     exp.sim->runUntil(exp.sim->now() + 20 * kMillisecond);
     EXPECT_GT(totalOps(wls), at_check);
@@ -656,108 +660,6 @@ TEST(Recovery, HeartbeatLapseFailsOverToStandby)
     EXPECT_EQ(wls[0]->outstandingOps(), 0u);
     EXPECT_EQ(wls[0]->ioErrors(), 0u);
     EXPECT_EQ(vm->clientPendingBlocks(0), 0u);
-}
-
-TEST(Recovery, SwitchPathHeartbeatsKeepClientsFresh)
-{
-    // recovery.heartbeat_via_switch re-routes beats through the rack
-    // switch datapath (beacon NIC -> switch -> per-VMhost receiver
-    // NIC) instead of the lossless control channel.  Healthy rack:
-    // every client keeps seeing beats, nobody lapses, and the block
-    // workload is untouched.
-    bench::SweepOptions opt;
-    opt.warmup = 5 * kMillisecond;
-    opt.tweak = [](models::ModelConfig &mc) {
-        mc.with_block = true;
-        mc.recovery.enabled = true;
-        mc.recovery.heartbeat_via_switch = true;
-    };
-    bench::Experiment exp(ModelKind::Vrio, 2, opt);
-    exp.settle();
-    auto *vm = dynamic_cast<models::VrioModel *>(exp.model);
-    ASSERT_NE(vm, nullptr);
-    ASSERT_NE(vm->heartbeatBeaconNic(), nullptr);
-
-    auto wls = startFilebench(exp, 2);
-    exp.sim->runUntil(exp.sim->now() + 50 * kMillisecond);
-    EXPECT_GT(vm->hypervisor().heartbeatsSent(), 0u);
-    // The beats really crossed the switch, not the control channel.
-    EXPECT_GT(vm->heartbeatBeaconNic()->txFrames(), 0u);
-    for (unsigned v = 0; v < 2; ++v) {
-        EXPECT_GT(vm->clientHeartbeatsSeen(v), 0u);
-        EXPECT_EQ(vm->clientHeartbeatLapses(v), 0u);
-    }
-
-    for (auto &wl : wls)
-        wl->stop();
-    exp.sim->runUntil(exp.sim->now() + 100 * kMillisecond);
-    for (auto &wl : wls) {
-        EXPECT_EQ(wl->outstandingOps(), 0u);
-        EXPECT_EQ(wl->ioErrors(), 0u);
-    }
-}
-
-TEST(Recovery, DeadBeaconPortStarvesBeatsNotData)
-{
-    // The point of switch-path heartbeats: a dead switch port on the
-    // beat path is *detectable* (clients lapse) even though the data
-    // path — direct T-channel links here — never drops a frame.
-    bench::SweepOptions opt;
-    opt.warmup = 5 * kMillisecond;
-    opt.tweak = [](models::ModelConfig &mc) {
-        mc.with_block = true;
-        mc.recovery.enabled = true;
-        mc.recovery.heartbeat_via_switch = true;
-    };
-    bench::Experiment exp(ModelKind::Vrio, 2, opt);
-    exp.settle();
-    auto *vm = dynamic_cast<models::VrioModel *>(exp.model);
-    ASSERT_NE(vm, nullptr);
-    net::Nic *beacon = vm->heartbeatBeaconNic();
-    ASSERT_NE(beacon, nullptr);
-
-    auto wls = startFilebench(exp, 2);
-    // Long enough for the switch to learn the beacon's source MAC.
-    exp.sim->runUntil(exp.sim->now() + opt.warmup);
-
-    sim::Tick down_at = exp.sim->now() + 5 * kMillisecond;
-    fault::FaultPlan plan;
-    plan.killSwitchPort(beacon->queueMac(0), down_at,
-                        30 * kMillisecond);
-    fault::FaultInjector inj(*exp.sim, "fault", plan);
-    inj.attach(*vm);
-    inj.attachSwitch(exp.rack->rackSwitch());
-    inj.arm();
-
-    uint64_t ops_at_down = 0;
-    exp.sim->runUntil(down_at);
-    ops_at_down = totalOps(wls);
-    // Lapse window is miss * period = 8 ms; run well past it.
-    exp.sim->runUntil(down_at + 25 * kMillisecond);
-    EXPECT_EQ(inj.portDownsTriggered(), 1u);
-    for (unsigned v = 0; v < 2; ++v) {
-        EXPECT_GE(vm->clientHeartbeatLapses(v), 1u);
-        EXPECT_GT(vm->clientLapseTick(v), down_at);
-    }
-    // Data kept flowing the whole time: the block channel does not
-    // cross the dead port.
-    EXPECT_GT(totalOps(wls), ops_at_down);
-
-    // Port revives; beats resume and re-arm every monitor.
-    exp.sim->runUntil(exp.sim->now() + 20 * kMillisecond);
-    uint64_t seen[2] = {vm->clientHeartbeatsSeen(0),
-                        vm->clientHeartbeatsSeen(1)};
-    exp.sim->runUntil(exp.sim->now() + 10 * kMillisecond);
-    for (unsigned v = 0; v < 2; ++v)
-        EXPECT_GT(vm->clientHeartbeatsSeen(v), seen[v]);
-
-    for (auto &wl : wls)
-        wl->stop();
-    exp.sim->runUntil(exp.sim->now() + 100 * kMillisecond);
-    for (auto &wl : wls) {
-        EXPECT_EQ(wl->outstandingOps(), 0u);
-        EXPECT_EQ(wl->ioErrors(), 0u);
-    }
 }
 
 TEST(Recovery, DeadPortReroutesThroughSecondClientNic)
@@ -831,9 +733,10 @@ TEST(Recovery, StreamResetSnapshotsCongestionCounters)
     workloads::NetperfStream::Config scfg;
     scfg.adaptive = true;
     auto &gen = exp.rack->generator(0);
+    // The stream keeps a reference to its costs: pass ones that
+    // outlive it, not a temporary.
     workloads::NetperfStream wl(gen, gen.newSession(),
-                                exp.model->guest(0),
-                                models::CostParams{}, scfg);
+                                exp.model->guest(0), opt.costs, scfg);
     wl.start();
     exp.sim->runUntil(exp.sim->now() + 30 * kMillisecond);
     ASSERT_NE(wl.tcp(), nullptr);
@@ -878,7 +781,9 @@ TEST_P(SingleFaultDrainsDry, NoStrandedRequests)
         mc.with_block = true;
         mc.vrio_via_switch = true;
         mc.recovery.enabled = true;
-        mc.recovery.standby = (fault_class == 2);
+        // A permanent IOhost outage needs a peer to fail over to.
+        if (fault_class == 2)
+            mc.rack.iohosts = 2;
     };
     bench::Experiment exp(ModelKind::Vrio, n_vms, opt);
     exp.settle();

@@ -37,6 +37,14 @@ struct GoldenCase {
     const char *extra_env;
 };
 
+// Print a case as its snapshot name; the default printer would dump
+// the string pointers, which differ on every run.
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 // VRIO_BENCH_SMOKE=1 shrinks every sweep to a short deterministic
 // window; abl_resilience honors it through the same helper.  The
 // fig09 loss-sweep entry additionally locks down the adaptive

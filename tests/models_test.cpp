@@ -7,6 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "models/io_model.hpp"
 #include "interpose/services.hpp"
 #include "models/vrio.hpp"
@@ -148,6 +151,15 @@ struct EventExpectation
     ModelKind kind;
     uint64_t exits, guest_irqs, injections, host_irqs, iohost_irqs;
 };
+
+// gtest prints an unprintable parameter as its raw bytes, padding
+// included, and test discovery puts that text into the test's name;
+// print the row's model so the name is the same on every build.
+void
+PrintTo(const EventExpectation &e, std::ostream *os)
+{
+    *os << modelKindName(e.kind);
+}
 
 class Table3 : public ::testing::TestWithParam<EventExpectation>
 {};
@@ -603,6 +615,78 @@ TEST(ViaSwitch, AddsLatencyOverDirectWiring)
 }
 
 // --- interposition end-to-end ---------------------------------------------
+
+// --- one builder, every cabling ------------------------------------------
+
+TEST(VrioWiring, BuilderKeepsEachCablingShape)
+{
+    // The classic IOhost has one client port per VMhost (a direct link
+    // each, or two switch links each via the switch); a rack has one
+    // client switch port per IOhost plus one switch link per VMhost.
+    const unsigned H = 3, sidecores = 2;
+    const struct
+    {
+        const char *name;
+        unsigned iohosts;
+        bool via_switch;
+        size_t ports, links;
+    } cases[] = {
+        {"classic-direct", 0, false, H, H},
+        {"classic-switch", 0, true, H, 2 * H},
+        {"rack-of-1", 1, true, 1, 1 + H},
+        {"rack-of-2", 2, true, 2, 2 + H},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        ModelConfig mc = basicConfig(ModelKind::Vrio, 2 * H);
+        mc.num_vmhosts = H;
+        mc.sidecores = sidecores;
+        mc.vrio_via_switch = c.via_switch;
+        mc.rack.iohosts = c.iohosts;
+        Harness h(mc);
+        auto &vm = static_cast<VrioModel &>(*h.model);
+        const unsigned R = std::max(1u, c.iohosts);
+        EXPECT_EQ(vm.rackIoHostCount(), R);
+        EXPECT_EQ(vm.channelLinks().size(), c.links);
+        EXPECT_EQ(vm.ioResources().size(), R * sidecores);
+        auto ports = vm.iohostClientNics();
+        ASSERT_EQ(ports.size(), c.ports);
+        std::set<net::MacAddress> macs;
+        for (net::Nic *port : ports)
+            macs.insert(port->queueMac(0));
+        EXPECT_EQ(macs.size(), c.ports);
+        // Every client reached its home port: the handshake landed.
+        for (unsigned v = 0; v < mc.num_vms; ++v)
+            EXPECT_GT(vm.clientDevCreates(v), 0u) << "vm " << v;
+    }
+}
+
+TEST(VrioWiringDeathTest, ClassicWiringRejectsRackOnlyOptions)
+{
+    // The classic wiring has no fan-out point or peer to apply these
+    // to; building it with one set must fail instead of ignoring it.
+    auto build = [](void (*set)(ModelConfig &)) {
+        ModelConfig mc = basicConfig(ModelKind::Vrio);
+        set(mc);
+        Harness h(mc);
+    };
+    EXPECT_DEATH(build([](ModelConfig &mc) { mc.rack.coalesce = true; }),
+                 "rejects rack.coalesce");
+    EXPECT_DEATH(
+        build([](ModelConfig &mc) { mc.rack.shared_volume = true; }),
+        "rejects rack.shared_volume");
+    EXPECT_DEATH(
+        build([](ModelConfig &mc) { mc.rack.replication = true; }),
+        "rejects rack.replication");
+    EXPECT_DEATH(
+        build([](ModelConfig &mc) { mc.rack.resteer_ratio = 2.0; }),
+        "rejects rack.resteer_ratio");
+    EXPECT_DEATH(build([](ModelConfig &mc) { mc.rack.failback = true; }),
+                 "rejects rack.failback");
+    EXPECT_DEATH(
+        build([](ModelConfig &mc) { mc.rack.qos.enabled = true; }),
+        "rejects rack.qos");
+}
 
 TEST(Interposition, CompressionThroughRemoteDisk)
 {

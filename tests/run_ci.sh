@@ -79,6 +79,10 @@ run ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" -L property
 run ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" -L rack
 run ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" -L qos
 run ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" -L golden
+# The repository benchmark's own output checks (read-pattern and drain
+# gates, thread-invariant fingerprint): a model-construction regression
+# fails here, not only when the benchmark is next compared.
+run python3 perfbench/test_perfbench.py
 
 echo "== Telemetry exporters (Release) =="
 # Arm both exporters on a smoke-mode figure run, then assert the
