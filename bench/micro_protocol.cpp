@@ -139,12 +139,25 @@ BENCHMARK(BM_AesCtr)->Arg(64)->Arg(4096)->Arg(65536);
 void
 BM_Crc32(benchmark::State &state)
 {
-    Bytes data(size_t(state.range(0)), 0x42);
+    // Start at an odd offset, kept a run-time value, so the unaligned
+    // loads are timed along with the short-input and tail paths.
+    size_t offset = 1;
+    benchmark::DoNotOptimize(offset);
+    Bytes buf(size_t(state.range(0)) + offset, 0x42);
+    auto data = std::span<const uint8_t>(buf).subspan(offset);
     for (auto _ : state)
         benchmark::DoNotOptimize(crc32(data));
     state.SetBytesProcessed(state.iterations() * int64_t(data.size()));
 }
-BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(65536);
+// 44 is a bare transport header, 4140 a header plus a 4 KiB block.
+BENCHMARK(BM_Crc32)
+    ->Arg(44)
+    ->Arg(63)
+    ->Arg(64)
+    ->Arg(1500)
+    ->Arg(4096)
+    ->Arg(4140)
+    ->Arg(65536);
 
 void
 BM_SteeringDecision(benchmark::State &state)

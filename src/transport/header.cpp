@@ -82,17 +82,19 @@ msgTypeName(MsgType type)
 
 namespace {
 
+/**
+ * Truncated CRC-32 of @p message as if its checksum field were zero:
+ * streamed around the field, so the message is only read.
+ */
 uint16_t
-checksumWithFieldZeroed(std::span<uint8_t> message)
+checksumWithFieldZeroed(std::span<const uint8_t> message)
 {
-    uint8_t &lo = message[TransportHeader::kCsumOffset];
-    uint8_t &hi = message[TransportHeader::kCsumOffset + 1];
-    uint8_t saved_lo = lo, saved_hi = hi;
-    lo = hi = 0;
-    uint16_t csum = uint16_t(crc32(message) & 0xffff);
-    lo = saved_lo;
-    hi = saved_hi;
-    return csum;
+    constexpr size_t off = TransportHeader::kCsumOffset;
+    constexpr uint8_t zeros[2] = {0, 0};
+    uint32_t crc = crc32(message.first(off));
+    crc = crc32Update(crc, zeros);
+    crc = crc32Update(crc, message.subspan(off + sizeof zeros));
+    return uint16_t(crc & 0xffff);
 }
 
 } // namespace
@@ -108,7 +110,7 @@ sealMessage(std::span<uint8_t> message)
 }
 
 bool
-verifyMessage(std::span<uint8_t> message)
+verifyMessage(std::span<const uint8_t> message)
 {
     if (message.size() < TransportHeader::kSize)
         return false;

@@ -104,12 +104,12 @@ const char *msgTypeName(MsgType type);
 void sealMessage(std::span<uint8_t> message);
 
 /**
- * Verify a sealed message.  Temporarily zeroes the checksum field for
- * the computation and restores it; returns true iff the stored value
- * matches.  A mismatch means the payload was corrupted somewhere FCS
- * could not see.
+ * Verify a sealed message without modifying it: recomputes the
+ * checksum with the field read as zero and returns true iff the stored
+ * value matches.  A mismatch means the payload was corrupted somewhere
+ * FCS could not see.
  */
-bool verifyMessage(std::span<uint8_t> message);
+bool verifyMessage(std::span<const uint8_t> message);
 
 } // namespace vrio::transport
 

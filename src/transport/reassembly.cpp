@@ -112,7 +112,7 @@ Reassembler::tryComplete(const Key &key, Partial &p)
     // a buffer rather than on the wire) surfaces only here, once the
     // whole message is back together.  Drop it; the sender's
     // retransmission machinery recovers.
-    if (!verifyMessage(std::span<uint8_t>(p.data))) {
+    if (!verifyMessage(p.data)) {
         partials.erase(key);
         ++checksum_drops;
         return std::nullopt;

@@ -1,7 +1,12 @@
 /**
  * @file
- * CRC32 (IEEE 802.3 polynomial), used for Ethernet frame check
- * sequences and block-content fingerprints in the dedup service.
+ * CRC-32 (IEEE 802.3 polynomial, reflected 0xedb88320).  It seals and
+ * verifies every transport message (transport::sealMessage and
+ * verifyMessage) and fingerprints chunks in the dedup service; the
+ * Ethernet FCS is modelled by Frame::fcs_corrupt, not computed.  Two
+ * implementations give the same result: a PCLMULQDQ folding kernel,
+ * picked at run time on CPUs that have it, and slice-by-8 for the
+ * rest and for short inputs and tails.
  */
 #ifndef VRIO_UTIL_CRC32_HPP
 #define VRIO_UTIL_CRC32_HPP

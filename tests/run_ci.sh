@@ -100,6 +100,12 @@ run test "$(wc -l < "$TELEM_DIR/metrics.csv")" -gt 100
 echo "== Simulator hot-path microbenchmark (Release) =="
 run ./build-ci-release/bench/micro_sim_hotpath
 
+echo "== CRC-32 microbenchmark smoke (Release) =="
+# Times every CRC-32 length class (short input, fold threshold,
+# unaligned tail) once; no timing gate, it fails only if the binary does.
+run ./build-ci-release/bench/micro_protocol --benchmark_filter=BM_Crc32 \
+    --benchmark_min_time=0.01
+
 echo "== Resilience benchmark smoke (Release) =="
 run env VRIO_RESILIENCE_SMOKE=1 ./build-ci-release/bench/abl_resilience
 

@@ -109,6 +109,14 @@ struct Topology
     bool qos = false;
 };
 
+// Print a topology as its name; the default printer would dump the
+// struct's bytes, including the name pointer, which differs per run.
+void
+PrintTo(const Topology &t, std::ostream *os)
+{
+    *os << t.name;
+}
+
 /**
  * One vRIO rack: every VM runs netperf RR, VM 0 additionally pushes
  * a TCP stream.  Rack topologies (iohosts >= 2) add a filebench

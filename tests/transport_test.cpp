@@ -16,6 +16,7 @@
 #include "transport/reassembly.hpp"
 #include "transport/retransmit.hpp"
 #include "transport/segmenter.hpp"
+#include "util/crc32.hpp"
 #include "virtio/virtio_blk.hpp"
 
 namespace vrio::transport {
@@ -681,6 +682,45 @@ TEST(Checksum, SealVerifyAndSingleFlipDetected)
     // ...and so does a header flip outside the csum field itself.
     msg[4] ^= 0x80;
     EXPECT_FALSE(verifyMessage(msg));
+}
+
+TEST(Checksum, FailedVerifyLeavesBytesUnchanged)
+{
+    Bytes msg;
+    ByteWriter w(msg);
+    netHeader(64).encode(w);
+    msg.resize(msg.size() + 64, 0x5a);
+    sealMessage(msg);
+    msg[TransportHeader::kSize + 3] ^= 0x10;
+
+    const Bytes before = msg;
+    EXPECT_FALSE(verifyMessage(msg));
+    EXPECT_EQ(msg, before);
+}
+
+// Sizes from a bare header to past the CRC's 64-byte folding threshold
+// and its 16-byte bulk/tail split; the stored value is always the CRC
+// of the message with its checksum field zeroed.
+TEST(Checksum, SealVerifyRoundTripsAcrossCrcPathSizes)
+{
+    for (size_t n = TransportHeader::kSize; n <= TransportHeader::kSize + 70;
+         ++n) {
+        Bytes msg(n);
+        for (size_t i = 0; i < n; ++i)
+            msg[i] = uint8_t(i * 31 + n);
+        sealMessage(msg);
+        ASSERT_TRUE(verifyMessage(msg)) << "n=" << n;
+
+        Bytes zeroed = msg;
+        zeroed[TransportHeader::kCsumOffset] = 0;
+        zeroed[TransportHeader::kCsumOffset + 1] = 0;
+        uint16_t want = uint16_t(crc32(zeroed) & 0xffff);
+        EXPECT_EQ(msg[TransportHeader::kCsumOffset], uint8_t(want & 0xff));
+        EXPECT_EQ(msg[TransportHeader::kCsumOffset + 1], uint8_t(want >> 8));
+
+        msg[n - 1] ^= 0x01;
+        EXPECT_FALSE(verifyMessage(msg)) << "n=" << n;
+    }
 }
 
 TEST(Checksum, ReassemblerDropsFcsPassingCorruption)

@@ -1,11 +1,17 @@
 /**
  * @file
- * Unit tests for the util module: byte codecs, CRC32, string helpers.
+ * Unit tests for the util module: byte codecs, CRC32, string helpers,
+ * plus a randomized check of every CRC-32 implementation.
  */
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "sim/random.hpp"
 #include "util/byte_buffer.hpp"
 #include "util/crc32.hpp"
+#include "util/crc32_impl.hpp"
 #include "util/hexdump.hpp"
 #include "util/strutil.hpp"
 
@@ -111,6 +117,86 @@ TEST(Crc32, IncrementalMatchesOneShot)
     uint32_t part = crc32(std::span<const uint8_t>(data).subspan(0, 37));
     part = crc32Update(part, std::span<const uint8_t>(data).subspan(37));
     EXPECT_EQ(whole, part);
+}
+
+/** Bit-at-a-time CRC-32: the reference every fast path must match. */
+uint32_t
+crc32Reference(uint32_t seed, std::span<const uint8_t> data)
+{
+    uint32_t c = ~seed;
+    for (uint8_t byte : data) {
+        c ^= byte;
+        for (int k = 0; k < 8; ++k)
+            c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1)));
+    }
+    return ~c;
+}
+
+using CrcFn = uint32_t (*)(uint32_t, std::span<const uint8_t>);
+
+/** Every CRC-32 path this CPU can run, by name. */
+std::vector<std::pair<const char *, CrcFn>>
+crcPaths()
+{
+    std::vector<std::pair<const char *, CrcFn>> paths = {
+        {"slice8", detail::crc32UpdateSlice8}, {"public", crc32Update}};
+    if (detail::kCrc32HasClmul)
+        paths.emplace_back("clmul", detail::crc32UpdateClmul);
+    return paths;
+}
+
+Bytes
+randomBytes(sim::Random &rng, size_t n)
+{
+    Bytes b(n);
+    for (uint8_t &x : b)
+        x = uint8_t(rng.next());
+    return b;
+}
+
+// Every length across the short-input path, the 64-byte fold threshold
+// and the 16-byte bulk/tail split, at every offset within a cache line.
+TEST(Crc32Property, EveryShortLengthAndOffsetMatchesReference)
+{
+    const auto paths = crcPaths();
+    sim::Random rng(32);
+    Bytes buf = randomBytes(rng, 300 + 64);
+    for (size_t len = 0; len <= 300; ++len) {
+        for (size_t off = 0; off < 64; ++off) {
+            auto data = std::span<const uint8_t>(buf).subspan(off, len);
+            uint32_t seed = uint32_t(rng.next());
+            uint32_t want = crc32Reference(seed, data);
+            for (auto [name, fn] : paths)
+                ASSERT_EQ(fn(seed, data), want)
+                    << name << " len=" << len << " off=" << off;
+            ASSERT_EQ(crc32(data), crc32Reference(0, data))
+                << "len=" << len << " off=" << off;
+        }
+    }
+}
+
+// Long inputs, fed whole and in two pieces split at a random point.
+TEST(Crc32Property, RandomLongInputsMatchReferenceWholeAndSplit)
+{
+    const auto paths = crcPaths();
+    sim::Random rng(4096);
+    Bytes buf = randomBytes(rng, 65536 + 64);
+    for (int i = 0; i < 200; ++i) {
+        size_t len = size_t(rng.uniformInt(0, 65536));
+        size_t off = size_t(rng.uniformInt(0, 63));
+        size_t split = size_t(rng.uniformInt(0, len));
+        auto data = std::span<const uint8_t>(buf).subspan(off, len);
+        uint32_t seed = uint32_t(rng.next());
+        uint32_t want = crc32Reference(seed, data);
+        for (auto [name, fn] : paths) {
+            ASSERT_EQ(fn(seed, data), want)
+                << name << " len=" << len << " off=" << off;
+            ASSERT_EQ(fn(fn(seed, data.first(split)), data.subspan(split)),
+                      want)
+                << name << " len=" << len << " off=" << off
+                << " split=" << split;
+        }
+    }
 }
 
 TEST(Hexdump, CompactHex)
