@@ -108,36 +108,37 @@ Aes::Aes(std::span<const uint8_t> key)
         vrio_panic("AES key must be 16/24/32 bytes, got ", key.size());
     }
 
+    uint32_t w[60];
     for (int i = 0; i < nk; ++i) {
-        rk[i] = uint32_t(key[4 * i]) << 24 |
-                uint32_t(key[4 * i + 1]) << 16 |
-                uint32_t(key[4 * i + 2]) << 8 | uint32_t(key[4 * i + 3]);
+        w[i] = uint32_t(key[4 * i]) << 24 |
+               uint32_t(key[4 * i + 1]) << 16 |
+               uint32_t(key[4 * i + 2]) << 8 | uint32_t(key[4 * i + 3]);
     }
     uint8_t rcon = 0x01;
     int total = 4 * (nr + 1);
     for (int i = nk; i < total; ++i) {
-        uint32_t temp = rk[i - 1];
+        uint32_t temp = w[i - 1];
         if (i % nk == 0) {
             temp = subWord(rotWord(temp)) ^ (uint32_t(rcon) << 24);
             rcon = xtime(rcon);
         } else if (nk > 6 && i % nk == 4) {
             temp = subWord(temp);
         }
-        rk[i] = rk[i - nk] ^ temp;
+        w[i] = w[i - nk] ^ temp;
     }
+    // Word i is column i % 4 of round key i / 4, most significant
+    // byte first.
+    for (int i = 0; i < total; ++i)
+        for (int j = 0; j < 4; ++j)
+            rk[i / 4][4 * (i % 4) + j] = uint8_t(w[i] >> (24 - 8 * j));
 }
 
 void
 Aes::encryptBlock(uint8_t b[kBlockSize]) const
 {
     auto addRoundKey = [&](int round) {
-        for (int c = 0; c < 4; ++c) {
-            uint32_t w = rk[4 * round + c];
-            b[4 * c] ^= uint8_t(w >> 24);
-            b[4 * c + 1] ^= uint8_t(w >> 16);
-            b[4 * c + 2] ^= uint8_t(w >> 8);
-            b[4 * c + 3] ^= uint8_t(w);
-        }
+        for (size_t i = 0; i < kBlockSize; ++i)
+            b[i] ^= rk[round][i];
     };
     auto subBytes = [&]() {
         for (int i = 0; i < 16; ++i)
@@ -180,13 +181,8 @@ void
 Aes::decryptBlock(uint8_t b[kBlockSize]) const
 {
     auto addRoundKey = [&](int round) {
-        for (int c = 0; c < 4; ++c) {
-            uint32_t w = rk[4 * round + c];
-            b[4 * c] ^= uint8_t(w >> 24);
-            b[4 * c + 1] ^= uint8_t(w >> 16);
-            b[4 * c + 2] ^= uint8_t(w >> 8);
-            b[4 * c + 3] ^= uint8_t(w);
-        }
+        for (size_t i = 0; i < kBlockSize; ++i)
+            b[i] ^= rk[round][i];
     };
     auto invSubBytes = [&, inv = invSbox()]() {
         for (int i = 0; i < 16; ++i)

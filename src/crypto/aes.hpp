@@ -5,9 +5,11 @@
  * The load-imbalance experiment (Fig. 16b) runs AES-256 as a real
  * interposition service on the I/O hypervisor, so the cycles the
  * encryption consumes on a sidecore are generated by real work.
- * This is a straightforward table-free-schedule implementation
- * (S-box lookup per byte); constant-time hardening is out of scope —
- * the threat model here is benchmarking, not side channels.
+ * encryptBlock()/decryptBlock() are the portable byte-wise cipher (one
+ * S-box lookup per byte, MixColumns by xtime); CTR mode (modes.hpp)
+ * runs AES-NI rounds over the same round keys when the CPU has them
+ * and this byte-wise code otherwise.  Constant-time hardening is out
+ * of scope — the threat model here is benchmarking, not side channels.
  */
 #ifndef VRIO_CRYPTO_AES_HPP
 #define VRIO_CRYPTO_AES_HPP
@@ -35,10 +37,16 @@ class Aes
     /** Number of rounds (10/12/14 for 128/192/256-bit keys). */
     int rounds() const { return nr; }
 
+    /**
+     * Round key @p round (0..rounds()) as 16 bytes in FIPS-197 byte
+     * order, the layout AES-NI round instructions take.
+     */
+    const uint8_t *roundKey(int round) const { return rk[round].data(); }
+
   private:
     int nr;
-    /** Expanded key schedule: 4*(nr+1) 32-bit words. */
-    std::array<uint32_t, 60> rk{};
+    /** Expanded key schedule, one 16-byte round key per round. */
+    std::array<std::array<uint8_t, kBlockSize>, 15> rk{};
 };
 
 } // namespace vrio::crypto

@@ -2,10 +2,9 @@
  * @file
  * AES block cipher modes: CBC (with PKCS#7 padding) and CTR.
  *
- * The interposition encryption service uses CBC for block-device
- * payloads (matching "AES-256 ... through standard Linux APIs" in the
- * imbalance experiment) and CTR for packet payloads, which must not
- * grow.
+ * The interposition encryption service (interpose/services.hpp) uses
+ * CTR, in place via ctrXor(), for both block and packet payloads:
+ * neither may change length.  CBC is kept for the mode tests.
  */
 #ifndef VRIO_CRYPTO_MODES_HPP
 #define VRIO_CRYPTO_MODES_HPP
@@ -39,9 +38,13 @@ bool cbcDecrypt(const Aes &aes, const Iv &iv,
                 std::span<const uint8_t> ciphertext, Bytes &out);
 
 /**
- * CTR keystream XOR (encrypt == decrypt); output length equals input
- * length.  @p nonce seeds the counter block.
+ * CTR keystream XOR in place (encrypt == decrypt).  Counter block i is
+ * @p nonce || i, each 8 bytes big-endian, for i from 0.  Runs AES-NI
+ * rounds when the CPU has them; the output is the same either way.
  */
+void ctrXor(const Aes &aes, uint64_t nonce, std::span<uint8_t> data);
+
+/** ctrXor() on a copy of @p data; output length equals input length. */
 Bytes ctrCrypt(const Aes &aes, uint64_t nonce,
                std::span<const uint8_t> data);
 

@@ -74,7 +74,7 @@ EncryptionService::process(IoContext &ctx, Bytes &payload)
     uint64_t nonce = uint64_t(ctx.device_id) << 48;
     if (ctx.is_block)
         nonce |= ctx.sector;
-    payload = crypto::ctrCrypt(aes, nonce, payload);
+    crypto::ctrXor(aes, nonce, payload);
     return true;
 }
 

@@ -106,6 +106,13 @@ echo "== CRC-32 microbenchmark smoke (Release) =="
 run ./build-ci-release/bench/micro_protocol --benchmark_filter=BM_Crc32 \
     --benchmark_min_time=0.01
 
+echo "== AES-CTR microbenchmark smoke (Release) =="
+# Times every CTR length class (one block, partial tail, packet, 4 KiB,
+# 64 KiB; odd offset) once; no timing gate, it fails only if the binary
+# does.
+run ./build-ci-release/bench/micro_protocol --benchmark_filter=BM_AesCtr \
+    --benchmark_min_time=0.01
+
 echo "== Resilience benchmark smoke (Release) =="
 run env VRIO_RESILIENCE_SMOKE=1 ./build-ci-release/bench/abl_resilience
 
