@@ -8,7 +8,7 @@ namespace vrio::block {
 
 RamDisk::RamDisk(sim::Simulation &sim, std::string name, RamDiskConfig cfg)
     : BlockDevice(sim, std::move(name)), cfg(cfg),
-      store(cfg.capacity_bytes, 0),
+      store(cfg.capacity_bytes),
       channel(sim.events(), this->name() + ".chan")
 {
     vrio_assert(cfg.capacity_bytes % virtio::kSectorSize == 0,
@@ -66,8 +66,8 @@ RamDisk::submit(BlockRequest req, BlockCallback done)
             uint64_t off = req.sector * virtio::kSectorSize;
             switch (req.kind) {
               case virtio::BlkType::In: {
-                Bytes out(store.begin() + off,
-                          store.begin() + off + req.byteLength());
+                Bytes out(store.data() + off,
+                          store.data() + off + req.byteLength());
                 done(virtio::BlkStatus::Ok, std::move(out));
                 break;
               }
@@ -106,7 +106,7 @@ RamDisk::peek(uint64_t sector, uint32_t nsectors) const
     uint64_t off = sector * virtio::kSectorSize;
     uint64_t len = uint64_t(nsectors) * virtio::kSectorSize;
     vrio_assert(off + len <= store.size(), "peek out of range");
-    return Bytes(store.begin() + off, store.begin() + off + len);
+    return Bytes(store.data() + off, store.data() + off + len);
 }
 
 void

@@ -12,6 +12,7 @@
 
 #include "block/block_device.hpp"
 #include "sim/resource.hpp"
+#include "util/zeroed_bytes.hpp"
 
 namespace vrio::block {
 
@@ -49,7 +50,7 @@ class RamDisk : public BlockDevice
 
   private:
     RamDiskConfig cfg;
-    Bytes store;
+    ZeroedBytes store;
     sim::Resource channel;
 
     bool inRange(const BlockRequest &req) const;

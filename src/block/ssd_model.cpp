@@ -25,7 +25,7 @@ SsdConfig::sata()
 
 SsdModel::SsdModel(sim::Simulation &sim, std::string name, SsdConfig cfg)
     : BlockDevice(sim, std::move(name)), cfg(cfg),
-      store(cfg.capacity_bytes, 0),
+      store(cfg.capacity_bytes),
       channels(sim.events(), this->name() + ".chan", cfg.queue_depth)
 {
     vrio_assert(cfg.capacity_bytes % virtio::kSectorSize == 0,
@@ -74,8 +74,8 @@ SsdModel::submit(BlockRequest req, BlockCallback done)
             uint64_t off = req.sector * virtio::kSectorSize;
             switch (req.kind) {
               case virtio::BlkType::In: {
-                Bytes out(store.begin() + off,
-                          store.begin() + off + req.byteLength());
+                Bytes out(store.data() + off,
+                          store.data() + off + req.byteLength());
                 done(virtio::BlkStatus::Ok, std::move(out));
                 break;
               }

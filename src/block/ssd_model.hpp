@@ -13,6 +13,7 @@
 
 #include "block/block_device.hpp"
 #include "sim/resource.hpp"
+#include "util/zeroed_bytes.hpp"
 
 namespace vrio::block {
 
@@ -50,7 +51,7 @@ class SsdModel : public BlockDevice
 
   private:
     SsdConfig cfg;
-    Bytes store;
+    ZeroedBytes store;
     sim::Resource channels;
 };
 

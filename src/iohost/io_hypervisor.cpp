@@ -1355,11 +1355,12 @@ IoHypervisor::sendReplication(MsgType type, const Bytes &payload,
     // from colliding in the peer's message assembler.
     hdr.request_serial = ++repl_msg_serial;
     net::MacAddress src = repl_nic->queueMac(0);
-    for (const auto &part : transport::segmentRequest(hdr, payload)) {
-        repl_nic->send(0, transport::encapsulate(src, dst,
-                                                 next_wire_id++,
-                                                 part.hdr, part.payload));
-    }
+    transport::forEachPart(
+        hdr, payload,
+        [&](const TransportHeader &part, std::span<const uint8_t> slice) {
+            repl_nic->send(0, transport::encapsulate(
+                                  src, dst, next_wire_id++, part, slice));
+        });
 }
 
 void
@@ -1613,7 +1614,8 @@ IoHypervisor::execAck(MessageAssembler::Assembled req)
 
 void
 IoHypervisor::sendToClient(net::MacAddress t_mac,
-                           const TransportHeader &hdr, const Bytes &payload)
+                           const TransportHeader &hdr,
+                           std::span<const uint8_t> payload)
 {
     vrio_assert(!client_nics.empty(), "no client NIC");
     if (offline_) {
@@ -1632,20 +1634,21 @@ IoHypervisor::sendToClient(net::MacAddress t_mac,
                         ? client_nics[learned->second]
                         : client_nics.front();
     net::MacAddress src = nic->queueMac(0);
-    // Software-segment oversized responses, then one TSO send per part.
-    auto parts = transport::segmentRequest(hdr, payload);
-    for (const auto &part : parts) {
-        auto frame = transport::encapsulate(src, t_mac, next_wire_id++,
-                                            part.hdr, part.payload);
-        nic->send(0, std::move(frame));
-        if (!cfg.polling) {
-            // Interrupt-driven IOhost: each transmit completion also
-            // interrupts (half of the "4 IOhost interrupts" of
-            // Table 3's no-poll row).
-            irqs_taken->inc();
-            workerCore(0).runPreempt(cfg.interrupt_cycles, []() {});
-        }
-    }
+    // Software-segment oversized responses, then one TSO send per part,
+    // each encapsulated straight from its slice of the payload.
+    transport::forEachPart(
+        hdr, payload,
+        [&](const TransportHeader &part, std::span<const uint8_t> slice) {
+            nic->send(0, transport::encapsulate(src, t_mac, next_wire_id++,
+                                                part, slice));
+            if (!cfg.polling) {
+                // Interrupt-driven IOhost: each transmit completion
+                // also interrupts (half of the "4 IOhost interrupts"
+                // of Table 3's no-poll row).
+                irqs_taken->inc();
+                workerCore(0).runPreempt(cfg.interrupt_cycles, []() {});
+            }
+        });
 }
 
 // -- external ingress -----------------------------------------------------

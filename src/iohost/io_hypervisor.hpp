@@ -603,7 +603,7 @@ class IoHypervisor : public sim::SimObject
     // Egress toward clients.
     void sendToClient(net::MacAddress t_mac,
                       const transport::TransportHeader &hdr,
-                      const Bytes &payload);
+                      std::span<const uint8_t> payload);
 
     // Ingress from the external network (frames for guest F MACs).
     void externalRxNotify();

@@ -9,6 +9,7 @@ makeFrame(const EtherHeader &hdr, std::span<const uint8_t> payload,
           uint64_t pad)
 {
     FramePtr f = FramePool::local().acquire();
+    f->bytes.reserve(kEtherHeaderSize + payload.size());
     ByteWriter w(f->bytes);
     hdr.encode(w);
     w.putBytes(payload);

@@ -1,5 +1,7 @@
 #include "net/frame_pool.hpp"
 
+#include "util/logging.hpp"
+
 namespace vrio::net {
 
 namespace {
@@ -10,6 +12,35 @@ namespace {
  * released after pool teardown fall back to plain delete.
  */
 thread_local bool tls_pool_alive = false;
+
+/**
+ * Routes the control block of acquire()'s shared_ptr through the
+ * pool.  shared_ptr rebinds it to its one internal block type.
+ */
+template <typename T>
+struct ControlBlockAllocator
+{
+    using value_type = T;
+
+    ControlBlockAllocator() = default;
+    template <typename U>
+    ControlBlockAllocator(const ControlBlockAllocator<U> &)
+    {}
+
+    T *
+    allocate(size_t n)
+    {
+        return static_cast<T *>(detail::allocControlBlock(n * sizeof(T)));
+    }
+    void deallocate(T *p, size_t) { detail::freeControlBlock(p); }
+
+    template <typename U>
+    bool
+    operator==(const ControlBlockAllocator<U> &) const
+    {
+        return true;
+    }
+};
 
 } // namespace
 
@@ -23,6 +54,8 @@ FramePool::~FramePool()
     tls_pool_alive = false;
     for (Frame *f : free)
         delete f;
+    for (void *b : free_blocks)
+        ::operator delete(b);
 }
 
 FramePool &
@@ -44,7 +77,9 @@ FramePool::acquire()
         f = new Frame();
         ++allocated_;
     }
-    return FramePtr(f, [](Frame *frame) { detail::recycleFrame(frame); });
+    return FramePtr(
+        f, [](Frame *frame) { detail::recycleFrame(frame); },
+        ControlBlockAllocator<Frame>());
 }
 
 void
@@ -73,6 +108,38 @@ recycleFrame(Frame *frame)
         return;
     }
     FramePool::local().release(frame);
+}
+
+void *
+allocControlBlock(size_t bytes)
+{
+    FramePool &pool = FramePool::local();
+    if (pool.block_bytes_ == 0)
+        pool.block_bytes_ = bytes;
+    vrio_assert(bytes == pool.block_bytes_, "control block of ", bytes,
+                " bytes in a pool of ", pool.block_bytes_, "-byte blocks");
+    if (!pool.free_blocks.empty()) {
+        void *b = pool.free_blocks.back();
+        pool.free_blocks.pop_back();
+        return b;
+    }
+    ++pool.blocks_allocated_;
+    return ::operator new(bytes);
+}
+
+void
+freeControlBlock(void *block)
+{
+    if (!tls_pool_alive) {
+        ::operator delete(block);
+        return;
+    }
+    auto &blocks = FramePool::local().free_blocks;
+    if (blocks.size() >= FramePool::kMaxFree) {
+        ::operator delete(block);
+        return;
+    }
+    blocks.push_back(block);
 }
 
 } // namespace detail

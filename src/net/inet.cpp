@@ -19,18 +19,20 @@ inetChecksum(std::span<const uint8_t> data)
 void
 Ipv4Header::encode(ByteWriter &w) const
 {
-    Bytes hdr;
-    ByteWriter hw(hdr);
-    hw.putU8(0x45); // version 4, IHL 5
-    hw.putU8(tos);
-    hw.putU16be(total_length);
-    hw.putU16be(identification);
-    hw.putU16be(0x4000); // DF, no fragments (TSO, not IP fragmentation)
-    hw.putU8(ttl);
-    hw.putU8(protocol);
-    hw.putU16be(0); // checksum placeholder
-    hw.putU32be(src);
-    hw.putU32be(dst);
+    uint8_t hdr[kIpv4HeaderSize] = {
+        0x45, // version 4, IHL 5
+        tos,
+        uint8_t(total_length >> 8), uint8_t(total_length),
+        uint8_t(identification >> 8), uint8_t(identification),
+        0x40, 0x00, // DF, no fragments (TSO, not IP fragmentation)
+        ttl,
+        protocol,
+        0, 0, // checksum placeholder
+        uint8_t(src >> 24), uint8_t(src >> 16), uint8_t(src >> 8),
+        uint8_t(src),
+        uint8_t(dst >> 24), uint8_t(dst >> 16), uint8_t(dst >> 8),
+        uint8_t(dst),
+    };
     uint16_t csum = inetChecksum(hdr);
     hdr[10] = uint8_t(csum >> 8);
     hdr[11] = uint8_t(csum);

@@ -1,5 +1,7 @@
 #include "net/tso.hpp"
 
+#include <algorithm>
+
 #include "net/frame_pool.hpp"
 #include "net/inet.hpp"
 #include "util/logging.hpp"
@@ -43,11 +45,14 @@ tsoSegment(const Frame &frame, uint32_t mtu)
     vrio_assert(mss > 0, "MTU ", mtu, " leaves no room for payload");
 
     std::vector<FramePtr> out;
+    out.reserve(std::max<size_t>(1, (payload.size() + mss - 1) / mss));
     uint32_t offset = 0;
     do {
         uint32_t chunk =
             std::min<uint32_t>(mss, uint32_t(payload.size()) - offset);
         FramePtr seg = FramePool::local().acquire();
+        seg->bytes.reserve(kEtherHeaderSize + kIpv4HeaderSize +
+                           kTcpHeaderSize + chunk);
         ByteWriter w(seg->bytes);
         eh.encode(w);
         Ipv4Header seg_ip = ip;

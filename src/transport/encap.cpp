@@ -16,7 +16,11 @@ encapsulate(net::MacAddress src, net::MacAddress dst, uint32_t wire_msg_id,
                 "header total_len ", hdr.total_len, " != payload ",
                 payload.size());
 
+    constexpr size_t kL234 = net::kEtherHeaderSize + net::kIpv4HeaderSize +
+                             net::kTcpHeaderSize;
+    size_t message_bytes = TransportHeader::kSize + payload.size();
     net::FramePtr frame = net::FramePool::local().acquire();
+    frame->bytes.reserve(kL234 + message_bytes);
     ByteWriter w(frame->bytes);
 
     net::EtherHeader eh;
@@ -25,7 +29,6 @@ encapsulate(net::MacAddress src, net::MacAddress dst, uint32_t wire_msg_id,
     eh.ether_type = uint16_t(net::EtherType::Ipv4);
     eh.encode(w);
 
-    size_t message_bytes = TransportHeader::kSize + payload.size();
     net::Ipv4Header ip;
     ip.total_length = uint16_t(
         std::min<size_t>(0xffff, net::kIpv4HeaderSize +
@@ -49,8 +52,6 @@ encapsulate(net::MacAddress src, net::MacAddress dst, uint32_t wire_msg_id,
     // End-to-end checksum over the message region (header + payload);
     // the receiver's reassembler verifies it once the full message is
     // back together.
-    constexpr size_t kL234 = net::kEtherHeaderSize + net::kIpv4HeaderSize +
-                             net::kTcpHeaderSize;
     sealMessage(std::span<uint8_t>(frame->bytes).subspan(kL234));
     return frame;
 }

@@ -82,18 +82,22 @@ msgTypeName(MsgType type)
 
 namespace {
 
+static_assert(TransportHeader::kCsumOffset + 2 == TransportHeader::kSize,
+              "the checksum field ends the header");
+
 /**
- * Truncated CRC-32 of @p message as if its checksum field were zero:
- * streamed around the field, so the message is only read.
+ * Truncated CRC-32 of @p header + @p payload as if the checksum field
+ * (the header's last two bytes) were zero: streamed around the field,
+ * so the message is only read.
  */
 uint16_t
-checksumWithFieldZeroed(std::span<const uint8_t> message)
+checksumWithFieldZeroed(std::span<const uint8_t> header,
+                        std::span<const uint8_t> payload)
 {
-    constexpr size_t off = TransportHeader::kCsumOffset;
     constexpr uint8_t zeros[2] = {0, 0};
-    uint32_t crc = crc32(message.first(off));
+    uint32_t crc = crc32(header.first(TransportHeader::kCsumOffset));
     crc = crc32Update(crc, zeros);
-    crc = crc32Update(crc, message.subspan(off + sizeof zeros));
+    crc = crc32Update(crc, payload);
     return uint16_t(crc & 0xffff);
 }
 
@@ -104,7 +108,9 @@ sealMessage(std::span<uint8_t> message)
 {
     vrio_assert(message.size() >= TransportHeader::kSize,
                 "sealing a truncated transport message");
-    uint16_t csum = checksumWithFieldZeroed(message);
+    uint16_t csum =
+        checksumWithFieldZeroed(message.first(TransportHeader::kSize),
+                                message.subspan(TransportHeader::kSize));
     message[TransportHeader::kCsumOffset] = uint8_t(csum & 0xff);
     message[TransportHeader::kCsumOffset + 1] = uint8_t(csum >> 8);
 }
@@ -114,10 +120,20 @@ verifyMessage(std::span<const uint8_t> message)
 {
     if (message.size() < TransportHeader::kSize)
         return false;
+    return verifyMessage(message.first(TransportHeader::kSize),
+                         message.subspan(TransportHeader::kSize));
+}
+
+bool
+verifyMessage(std::span<const uint8_t> header,
+              std::span<const uint8_t> payload)
+{
+    vrio_assert(header.size() == TransportHeader::kSize,
+                "transport header of ", header.size(), " bytes");
     uint16_t stored =
-        uint16_t(message[TransportHeader::kCsumOffset]) |
-        uint16_t(message[TransportHeader::kCsumOffset + 1]) << 8;
-    return checksumWithFieldZeroed(message) == stored;
+        uint16_t(header[TransportHeader::kCsumOffset]) |
+        uint16_t(header[TransportHeader::kCsumOffset + 1]) << 8;
+    return checksumWithFieldZeroed(header, payload) == stored;
 }
 
 } // namespace vrio::transport

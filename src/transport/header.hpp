@@ -111,6 +111,13 @@ void sealMessage(std::span<uint8_t> message);
  */
 bool verifyMessage(std::span<const uint8_t> message);
 
+/**
+ * verifyMessage() of a message held in two pieces: @p header (exactly
+ * kSize bytes) followed by @p payload.
+ */
+bool verifyMessage(std::span<const uint8_t> header,
+                   std::span<const uint8_t> payload);
+
 } // namespace vrio::transport
 
 #endif // VRIO_TRANSPORT_HEADER_HPP

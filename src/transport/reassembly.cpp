@@ -30,15 +30,46 @@ Reassembler::sweep()
 {
     sim::Tick now = eq.now();
     for (auto it = partials.begin(); it != partials.end();) {
+        auto next = std::next(it);
         if (now - it->second.last_activity >= timeout) {
             ++expired;
-            it = partials.erase(it);
-        } else {
-            ++it;
+            drop(it);
         }
+        it = next;
     }
     if (!partials.empty())
         scheduleSweep();
+}
+
+Reassembler::PartialMap::iterator
+Reassembler::partialFor(const Key &key)
+{
+    auto it = partials.lower_bound(key);
+    if (it != partials.end() && it->first == key)
+        return it;
+    if (spare.empty())
+        return partials.emplace_hint(it, key, Partial{});
+    PartialMap::node_type node = std::move(spare.back());
+    spare.pop_back();
+    node.key() = key;
+    Partial &p = node.mapped();
+    p.head.fill(0);
+    p.payload.clear();
+    p.extents.clear();
+    p.bytes_received = 0;
+    p.expected_total.reset();
+    return partials.insert(it, std::move(node));
+}
+
+void
+Reassembler::drop(PartialMap::iterator it)
+{
+    // A handful of spare nodes covers the partials a receiver keeps in
+    // flight; the rest go back to the allocator.
+    constexpr size_t kMaxSpare = 64;
+    auto node = partials.extract(it);
+    if (spare.size() < kMaxSpare)
+        spare.push_back(std::move(node));
 }
 
 std::optional<Message>
@@ -49,59 +80,80 @@ Reassembler::feed(const net::Frame &frame)
         ++foreign;
         return std::nullopt;
     }
+    if (uint64_t(seg.offset) + seg.data.size() > net::kTsoMaxPayload) {
+        // No vRIO message is that long: hostile or garbled offsets
+        // must not size a buffer.
+        ++foreign;
+        return std::nullopt;
+    }
 
-    Key key{seg.src.toU64(), seg.wire_msg_id};
-    Partial &p = partials[key];
+    auto it = partialFor(Key{seg.src.toU64(), seg.wire_msg_id});
+    Partial &p = it->second;
     p.src = seg.src;
     p.dst = seg.dst;
     p.last_activity = eq.now();
 
     // Reject duplicate or overlapping segments (can happen when a
     // wire-message id is reused after an expiry raced a late frame).
-    auto overlap = [&](uint32_t off, uint32_t len) {
-        for (const auto &[eoff, elen] : p.extents) {
-            if (off < eoff + elen && eoff < off + len)
-                return true;
-        }
-        return false;
-    };
+    uint32_t off = seg.offset;
     uint32_t len = uint32_t(seg.data.size());
-    if (len == 0 || overlap(seg.offset, len)) {
+    bool overlap = std::any_of(
+        p.extents.begin(), p.extents.end(), [&](const auto &e) {
+            return off < e.first + e.second && e.first < off + len;
+        });
+    if (len == 0 || overlap) {
         ++duplicate_segments;
         return std::nullopt;
     }
 
-    if (p.data.size() < seg.offset + len)
-        p.data.resize(seg.offset + len);
-    std::memcpy(p.data.data() + seg.offset, seg.data.data(), len);
-    p.extents[seg.offset] = len;
-    p.bytes_received += len;
-    ++p.frags;
-
     // The segment at offset 0 carries the transport header, which
     // tells us the full message length.
-    if (seg.offset == 0) {
+    constexpr uint32_t kHead = TransportHeader::kSize;
+    if (off == 0) {
         ByteReader r(seg.data);
         TransportHeader hdr;
         if (!TransportHeader::decode(r, hdr)) {
             // Corrupt leading segment: drop the whole partial.
-            partials.erase(key);
+            drop(it);
             ++foreign;
             return std::nullopt;
         }
-        p.expected_total =
-            uint32_t(TransportHeader::kSize) + hdr.total_len;
+        p.expected_total = kHead + hdr.total_len;
+        p.payload.reserve(std::min(hdr.total_len, kMaxMessagePayload));
     }
 
-    auto done = tryComplete(key, p);
+    // Header bytes go to head, the rest to the payload buffer: appended
+    // when in order, zero-filling only a gap left by a missing segment.
+    auto bytes = seg.data;
+    if (off < kHead) {
+        size_t n = std::min<size_t>(bytes.size(), kHead - off);
+        std::memcpy(p.head.data() + off, bytes.data(), n);
+        bytes = bytes.subspan(n);
+        off = kHead;
+    }
+    if (!bytes.empty()) {
+        size_t at = off - kHead;
+        if (at == p.payload.size()) {
+            p.payload.insert(p.payload.end(), bytes.begin(), bytes.end());
+        } else {
+            if (p.payload.size() < at + bytes.size())
+                p.payload.resize(at + bytes.size());
+            std::memcpy(p.payload.data() + at, bytes.data(), bytes.size());
+        }
+    }
+    p.extents.emplace_back(seg.offset, len);
+    p.bytes_received += len;
+
+    auto done = tryComplete(it);
     if (!done)
         scheduleSweep();
     return done;
 }
 
 std::optional<Message>
-Reassembler::tryComplete(const Key &key, Partial &p)
+Reassembler::tryComplete(PartialMap::iterator it)
 {
+    Partial &p = it->second;
     if (!p.expected_total || p.bytes_received < *p.expected_total)
         return std::nullopt;
     vrio_assert(p.bytes_received == *p.expected_total,
@@ -112,24 +164,27 @@ Reassembler::tryComplete(const Key &key, Partial &p)
     // a buffer rather than on the wire) surfaces only here, once the
     // whole message is back together.  Drop it; the sender's
     // retransmission machinery recovers.
-    if (!verifyMessage(p.data)) {
-        partials.erase(key);
+    if (!verifyMessage(p.head, p.payload)) {
+        drop(it);
         ++checksum_drops;
         return std::nullopt;
     }
 
     Message msg;
-    ByteReader r(p.data);
+    ByteReader r(p.head);
     bool ok = TransportHeader::decode(r, msg.hdr);
     vrio_assert(ok, "header decode failed on a complete message");
-    msg.payload = r.getBytes(msg.hdr.total_len);
+    // Segments past the end (a reused wire id) can leave the buffer
+    // longer than the payload the header declares.
+    p.payload.resize(msg.hdr.total_len);
+    msg.payload = std::move(p.payload);
     msg.src = p.src;
     msg.dst = p.dst;
     msg.zero_copy = zeroCopyEligible(*p.expected_total, mtu);
     if (!msg.zero_copy)
         ++copied;
 
-    partials.erase(key);
+    drop(it);
     ++completed;
     return msg;
 }

@@ -16,8 +16,10 @@
 #ifndef VRIO_TRANSPORT_REASSEMBLY_HPP
 #define VRIO_TRANSPORT_REASSEMBLY_HPP
 
+#include <array>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "transport/encap.hpp"
@@ -69,22 +71,32 @@ class Reassembler
         uint32_t wire_msg_id;
         auto operator<=>(const Key &) const = default;
     };
+    /**
+     * A message being reassembled.  The header bytes and the payload
+     * are kept apart so that the payload buffer can be handed to the
+     * Message as is; together they are the message's bytes, dense from
+     * offset 0 to the furthest segment end seen.
+     */
     struct Partial
     {
-        Bytes data;               ///< message bytes, dense from 0
-        std::map<uint32_t, uint32_t> extents; ///< offset -> length
+        std::array<uint8_t, TransportHeader::kSize> head{};
+        Bytes payload; ///< message bytes from offset kSize on
+        /** (offset, length) of every accepted segment. */
+        std::vector<std::pair<uint32_t, uint32_t>> extents;
         uint32_t bytes_received = 0;
-        uint32_t frags = 0;
         std::optional<uint32_t> expected_total; ///< from offset-0 hdr
         net::MacAddress src;
         net::MacAddress dst;
         sim::Tick last_activity = 0;
     };
+    using PartialMap = std::map<Key, Partial>;
 
     sim::EventQueue &eq;
     uint32_t mtu;
     sim::Tick timeout;
-    std::map<Key, Partial> partials;
+    PartialMap partials;
+    /** Nodes of finished partials, reused (with their capacity). */
+    std::vector<PartialMap::node_type> spare;
 
     uint64_t completed = 0;
     uint64_t expired = 0;
@@ -96,7 +108,9 @@ class Reassembler
 
     void scheduleSweep();
     void sweep();
-    std::optional<Message> tryComplete(const Key &key, Partial &p);
+    PartialMap::iterator partialFor(const Key &key);
+    void drop(PartialMap::iterator it);
+    std::optional<Message> tryComplete(PartialMap::iterator it);
 };
 
 /** Level-2 assembly of software-segmented multi-part requests. */

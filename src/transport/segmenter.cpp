@@ -5,40 +5,29 @@
 
 namespace vrio::transport {
 
-std::vector<SoftSegment>
-segmentRequest(const TransportHeader &proto, Bytes payload,
-               uint32_t max_part)
+std::pair<size_t, size_t>
+detail::partLayout(size_t payload_bytes, uint32_t max_part)
 {
     if (max_part == 0)
         max_part = kMaxMessagePayload;
-    vrio_assert(max_part > 0, "max_part must be positive");
-
-    std::vector<SoftSegment> out;
-    if (payload.empty()) {
-        SoftSegment seg;
-        seg.hdr = proto;
-        seg.hdr.part = 0;
-        seg.hdr.parts = 1;
-        seg.hdr.total_len = 0;
-        out.push_back(std::move(seg));
-        return out;
-    }
-
-    size_t nparts = (payload.size() + max_part - 1) / max_part;
+    size_t nparts = std::max<size_t>(
+        1, (payload_bytes + max_part - 1) / max_part);
     vrio_assert(nparts <= 0xffff, "request needs too many parts: ",
                 nparts);
-    for (size_t i = 0; i < nparts; ++i) {
-        size_t off = i * max_part;
-        size_t len = std::min<size_t>(max_part, payload.size() - off);
-        SoftSegment seg;
-        seg.hdr = proto;
-        seg.hdr.part = uint16_t(i);
-        seg.hdr.parts = uint16_t(nparts);
-        seg.hdr.total_len = uint32_t(len);
-        seg.payload.assign(payload.begin() + off,
-                           payload.begin() + off + len);
-        out.push_back(std::move(seg));
-    }
+    return {max_part, nparts};
+}
+
+std::vector<SoftSegment>
+segmentRequest(const TransportHeader &proto,
+               std::span<const uint8_t> payload, uint32_t max_part)
+{
+    std::vector<SoftSegment> out;
+    forEachPart(
+        proto, payload,
+        [&out](const TransportHeader &hdr, std::span<const uint8_t> slice) {
+            out.push_back({hdr, Bytes(slice.begin(), slice.end())});
+        },
+        max_part);
     return out;
 }
 

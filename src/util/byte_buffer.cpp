@@ -5,141 +5,10 @@
 namespace vrio {
 
 void
-ByteWriter::putU8(uint8_t v)
+ByteReader::overrun(size_t count) const
 {
-    buf.push_back(v);
-}
-
-void
-ByteWriter::putU16le(uint16_t v)
-{
-    buf.push_back(uint8_t(v));
-    buf.push_back(uint8_t(v >> 8));
-}
-
-void
-ByteWriter::putU32le(uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf.push_back(uint8_t(v >> (8 * i)));
-}
-
-void
-ByteWriter::putU64le(uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf.push_back(uint8_t(v >> (8 * i)));
-}
-
-void
-ByteWriter::putU16be(uint16_t v)
-{
-    buf.push_back(uint8_t(v >> 8));
-    buf.push_back(uint8_t(v));
-}
-
-void
-ByteWriter::putU32be(uint32_t v)
-{
-    for (int i = 3; i >= 0; --i)
-        buf.push_back(uint8_t(v >> (8 * i)));
-}
-
-void
-ByteWriter::putU64be(uint64_t v)
-{
-    for (int i = 7; i >= 0; --i)
-        buf.push_back(uint8_t(v >> (8 * i)));
-}
-
-void
-ByteWriter::putBytes(std::span<const uint8_t> data)
-{
-    buf.insert(buf.end(), data.begin(), data.end());
-}
-
-void
-ByteWriter::putZeros(size_t count, uint8_t fill)
-{
-    buf.insert(buf.end(), count, fill);
-}
-
-void
-ByteReader::need(size_t count) const
-{
-    if (pos + count > buf.size()) {
-        vrio_panic("ByteReader overrun: need ", count, " bytes at offset ",
-                   pos, " of ", buf.size());
-    }
-}
-
-uint8_t
-ByteReader::getU8()
-{
-    need(1);
-    return buf[pos++];
-}
-
-uint16_t
-ByteReader::getU16le()
-{
-    need(2);
-    uint16_t v = uint16_t(buf[pos]) | uint16_t(buf[pos + 1]) << 8;
-    pos += 2;
-    return v;
-}
-
-uint32_t
-ByteReader::getU32le()
-{
-    need(4);
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= uint32_t(buf[pos + i]) << (8 * i);
-    pos += 4;
-    return v;
-}
-
-uint64_t
-ByteReader::getU64le()
-{
-    need(8);
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= uint64_t(buf[pos + i]) << (8 * i);
-    pos += 8;
-    return v;
-}
-
-uint16_t
-ByteReader::getU16be()
-{
-    need(2);
-    uint16_t v = uint16_t(buf[pos]) << 8 | uint16_t(buf[pos + 1]);
-    pos += 2;
-    return v;
-}
-
-uint32_t
-ByteReader::getU32be()
-{
-    need(4);
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v = v << 8 | buf[pos + i];
-    pos += 4;
-    return v;
-}
-
-uint64_t
-ByteReader::getU64be()
-{
-    need(8);
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v = v << 8 | buf[pos + i];
-    pos += 8;
-    return v;
+    vrio_panic("ByteReader overrun: need ", count, " bytes at offset ", pos,
+               " of ", buf.size());
 }
 
 Bytes
@@ -149,22 +18,6 @@ ByteReader::getBytes(size_t count)
     Bytes out(buf.begin() + pos, buf.begin() + pos + count);
     pos += count;
     return out;
-}
-
-std::span<const uint8_t>
-ByteReader::viewBytes(size_t count)
-{
-    need(count);
-    auto view = buf.subspan(pos, count);
-    pos += count;
-    return view;
-}
-
-void
-ByteReader::skip(size_t count)
-{
-    need(count);
-    pos += count;
 }
 
 } // namespace vrio

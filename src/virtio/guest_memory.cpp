@@ -6,7 +6,7 @@
 
 namespace vrio::virtio {
 
-GuestMemory::GuestMemory(size_t size) : mem(size, 0)
+GuestMemory::GuestMemory(size_t size) : mem(size)
 {
     vrio_assert(size > 0, "guest memory must be non-empty");
     free_list[0] = size;
@@ -95,7 +95,7 @@ Bytes
 GuestMemory::read(uint64_t addr, size_t len) const
 {
     check(addr, len);
-    return Bytes(mem.begin() + addr, mem.begin() + addr + len);
+    return Bytes(mem.data() + addr, mem.data() + addr + len);
 }
 
 std::span<uint8_t>

@@ -16,6 +16,7 @@
 #include <span>
 
 #include "util/byte_buffer.hpp"
+#include "util/zeroed_bytes.hpp"
 
 namespace vrio::virtio {
 
@@ -66,7 +67,7 @@ class GuestMemory
     size_t allocationCount() const { return live.size(); }
 
   private:
-    Bytes mem;
+    ZeroedBytes mem;
     /** addr -> length of live allocations. */
     std::map<uint64_t, size_t> live;
     /** addr -> length of free extents, coalesced. */

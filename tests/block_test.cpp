@@ -5,6 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
+#include <optional>
+#include <string>
+
 #include "block/alignment.hpp"
 #include "block/disk_scheduler.hpp"
 #include "block/ram_disk.hpp"
@@ -154,6 +159,123 @@ TEST(SsdModel, PcieIsFasterThanSata)
                 [&](BlkStatus, Bytes) { sata_done = sim.now(); });
     sim.runToCompletion();
     EXPECT_LT(pcie_done, sata_done);
+}
+
+// --- Lazily-zeroed backing stores -----------------------------------
+
+/** Submit @p req, run to completion, return the status and data. */
+std::pair<BlkStatus, Bytes>
+runIo(sim::Simulation &sim, BlockDevice &dev, BlockRequest req)
+{
+    std::pair<BlkStatus, Bytes> out{BlkStatus::Unsupported, {}};
+    dev.submit(std::move(req), [&](BlkStatus s, Bytes d) {
+        out = {s, std::move(d)};
+    });
+    sim.runToCompletion();
+    return out;
+}
+
+/** Checks every store-backed device must pass, through submit(). */
+void
+checkStoreSemantics(sim::Simulation &sim, BlockDevice &dev)
+{
+    uint64_t last = dev.capacitySectors() - 1;
+    Bytes zeros(8 * kSectorSize, 0);
+
+    // Never-written sectors read as zeros: first, middle and last.
+    EXPECT_EQ(runIo(sim, dev, {BlkType::In, 0, 8, {}}).second, zeros);
+    EXPECT_EQ(runIo(sim, dev, {BlkType::In, last / 2, 8, {}}).second,
+              zeros);
+    auto tail = runIo(sim, dev, {BlkType::In, last, 1, {}});
+    EXPECT_EQ(tail.first, BlkStatus::Ok);
+    EXPECT_EQ(tail.second, Bytes(kSectorSize, 0));
+
+    // Write-then-read round-trips, up to the last byte of the store.
+    Bytes data = pattern(8 * kSectorSize, 7);
+    EXPECT_EQ(runIo(sim, dev, {BlkType::Out, last - 7, 8, data}).first,
+              BlkStatus::Ok);
+    EXPECT_EQ(runIo(sim, dev, {BlkType::In, last - 7, 8, {}}).second, data);
+    // Neighbours stay untouched.
+    EXPECT_EQ(runIo(sim, dev, {BlkType::In, last - 15, 8, {}}).second,
+              zeros);
+
+    // Discard re-zeroes what was written.
+    EXPECT_EQ(runIo(sim, dev, {BlkType::Discard, last - 7, 8, {}}).first,
+              BlkStatus::Ok);
+    EXPECT_EQ(runIo(sim, dev, {BlkType::In, last - 7, 8, {}}).second,
+              zeros);
+
+    // One sector past the end is refused, not served from the guard.
+    EXPECT_EQ(runIo(sim, dev, {BlkType::In, last, 2, {}}).first,
+              BlkStatus::IoErr);
+}
+
+TEST(RamDisk, StoreReadsZeroUntilWrittenAndDiscardRezeroes)
+{
+    sim::Simulation sim;
+    RamDisk disk(sim, "rd", {.capacity_bytes = 1u << 20});
+    checkStoreSemantics(sim, disk);
+}
+
+TEST(SsdModel, StoreReadsZeroUntilWrittenAndDiscardRezeroes)
+{
+    sim::Simulation sim;
+    SsdConfig cfg = SsdConfig::sata();
+    cfg.capacity_bytes = 1u << 20;
+    SsdModel ssd(sim, "ssd", cfg);
+    checkStoreSemantics(sim, ssd);
+}
+
+TEST(RamDisk, PeekPokeMirrorWriteStayBoundsChecked)
+{
+    sim::Simulation sim;
+    RamDisk disk(sim, "rd", {.capacity_bytes = 1u << 20});
+    uint64_t last = disk.capacitySectors() - 1;
+    Bytes one = pattern(kSectorSize, 5);
+
+    EXPECT_EQ(disk.peek(last, 1), Bytes(kSectorSize, 0));
+    disk.poke(last, one);
+    EXPECT_EQ(disk.peek(last, 1), one);
+    EXPECT_DEATH(disk.peek(last, 2), "peek out of range");
+    EXPECT_DEATH(disk.poke(last + 1, one), "poke out of range");
+
+    Bytes two = pattern(kSectorSize, 6);
+    EXPECT_TRUE(disk.mirrorWrite(last, two));
+    EXPECT_EQ(disk.peek(last, 1), two);
+    EXPECT_FALSE(disk.mirrorWrite(last + 1, two));
+    EXPECT_FALSE(disk.mirrorWrite(last, pattern(2 * kSectorSize, 6)));
+    EXPECT_EQ(disk.peek(last, 1), two); // refused writes land nowhere
+}
+
+/** VmRSS of this process in KiB, if /proc can be read. */
+std::optional<uint64_t>
+residentKiB()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stoull(line.substr(6));
+    }
+    return std::nullopt;
+}
+
+TEST(RamDisk, LargeCapacityCostsNoResidentMemory)
+{
+    auto before = residentKiB();
+    if (!before)
+        GTEST_SKIP() << "/proc/self/status is not readable";
+    sim::Simulation sim;
+    auto disk = std::make_unique<RamDisk>(
+        sim, "rd", RamDiskConfig{.capacity_bytes = 1ull << 30});
+    // Reading an untouched sector maps the zero page, not a copy.
+    EXPECT_EQ(disk->peek(disk->capacitySectors() - 1, 1),
+              Bytes(kSectorSize, 0));
+    auto after = residentKiB();
+    ASSERT_TRUE(after);
+    EXPECT_LT(*after - std::min(*after, *before), 16u * 1024)
+        << "a 1 GiB RamDisk made " << (*after - *before)
+        << " KiB resident";
 }
 
 // --- DiskScheduler ---------------------------------------------------

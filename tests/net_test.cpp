@@ -5,7 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "net/ether.hpp"
+#include "net/frame_pool.hpp"
 #include "net/inet.hpp"
 #include "net/link.hpp"
 #include "net/nic.hpp"
@@ -143,6 +146,63 @@ makeTcpFrame(size_t payload_size, uint32_t base_seq = 0)
     w.putBytes(payload);
     f->trace_id = 77;
     return f;
+}
+
+TEST(FramePool, SteadyStateReusesFramesAndControlBlocks)
+{
+    // A fresh thread, so the counts start from an empty pool.
+    std::thread([] {
+        FramePool &pool = FramePool::local();
+        {
+            auto warm = pool.acquire();
+            warm->bytes.assign(100, 1);
+            warm->fcs_corrupt = true;
+        }
+        EXPECT_EQ(pool.allocated(), 1u);
+        EXPECT_EQ(pool.blocksAllocated(), 1u);
+        for (int i = 0; i < 1000; ++i) {
+            FramePtr f = pool.acquire();
+            // Recycled clean, with the payload capacity kept.
+            EXPECT_TRUE(f->bytes.empty());
+            EXPECT_GE(f->bytes.capacity(), 100u);
+            EXPECT_FALSE(f->fcs_corrupt);
+            f->bytes.assign(100, uint8_t(i));
+            FramePtr copy = f; // copies share the one control block
+            EXPECT_EQ(f.use_count(), 2);
+        }
+        EXPECT_EQ(pool.allocated(), 1u);
+        EXPECT_EQ(pool.blocksAllocated(), 1u);
+        EXPECT_EQ(pool.reused(), 1000u);
+    }).join();
+}
+
+TEST(FramePool, WeakReferenceOutlivesTheRecycledFrame)
+{
+    FramePool &pool = FramePool::local();
+    FramePtr f = pool.acquire();
+    std::weak_ptr<Frame> weak = f;
+    f.reset(); // the frame goes back; the block waits for `weak`
+    EXPECT_TRUE(weak.expired());
+    FramePtr g = pool.acquire();
+    EXPECT_TRUE(weak.expired());
+    weak.reset();
+    g->bytes.assign(10, 3);
+    EXPECT_EQ(g->bytes.size(), 10u);
+}
+
+TEST(FramePool, FramesMayDieOnAnotherThread)
+{
+    std::vector<FramePtr> frames;
+    for (int i = 0; i < 64; ++i) {
+        frames.push_back(FramePool::local().acquire());
+        frames.back()->bytes.assign(64, uint8_t(i));
+    }
+    // The other thread's pool takes them and frees them at its exit.
+    std::thread([moved = std::move(frames)]() mutable {
+        moved.clear();
+        FramePtr f = FramePool::local().acquire();
+        EXPECT_TRUE(f->bytes.empty());
+    }).join();
 }
 
 TEST(Tso, FrameClassification)

@@ -113,6 +113,13 @@ echo "== AES-CTR microbenchmark smoke (Release) =="
 run ./build-ci-release/bench/micro_protocol --benchmark_filter=BM_AesCtr \
     --benchmark_min_time=0.01
 
+echo "== Frame codec microbenchmark smoke (Release) =="
+# Times encapsulation, TSO segmentation and reassembly at every size
+# class once; no timing gate, it fails only if the binary does.
+run ./build-ci-release/bench/micro_protocol \
+    --benchmark_filter='BM_Encapsulate|BM_TsoSegment64K|BM_ReassembleMessage' \
+    --benchmark_min_time=0.01
+
 echo "== Resilience benchmark smoke (Release) =="
 run env VRIO_RESILIENCE_SMOKE=1 ./build-ci-release/bench/abl_resilience
 

@@ -8,6 +8,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+
 #include "net/tso.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
@@ -21,6 +25,22 @@ namespace vrio::transport {
 namespace {
 
 using net::MacAddress;
+
+/**
+ * encapsulate() of the CodecProperty reference message: Ethernet,
+ * IPv4, TCP, the transport header (sealed: csum 0x2d4c), then "vRIO".
+ */
+const Bytes kReferenceFrame = {
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x02, 0x02, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x08, 0x00, 0x45, 0x00, 0x00, 0x58, 0x00, 0x00, 0x40, 0x00, 0x40, 0x06,
+    0x3a, 0x9e, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x56, 0x52,
+    0x56, 0x52, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x50, 0x10,
+    0xff, 0xff, 0x00, 0x00, 0x00, 0x00, 0x52, 0x56, 0x01, 0x03, 0x03, 0x00,
+    0x00, 0x00, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x04, 0x00,
+    0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+    0x4c, 0x2d, 0x76, 0x52, 0x49, 0x4f,
+};
 
 /** Apply loss/dup/reorder chaos to a frame sequence. */
 std::vector<net::FramePtr>
@@ -159,6 +179,384 @@ TEST(RetransmitProperty, EventualDeliveryUnderHeavyLoss)
         EXPECT_EQ(completed_count[s], 1) << "serial " << s;
     EXPECT_GT(rtq->retransmissions(), 0u);
 }
+
+// -- wire codec: fixed reference vectors and round trips ------------------
+
+Bytes
+encoded(const auto &hdr)
+{
+    Bytes out;
+    ByteWriter w(out);
+    hdr.encode(w);
+    return out;
+}
+
+TEST(CodecProperty, HeadersMatchReferenceVectors)
+{
+    net::EtherHeader eh;
+    eh.dst = MacAddress::fromU64(0x0a0b0c0d0e0f);
+    eh.src = MacAddress::fromU64(0x102030405060);
+    eh.ether_type = 0x0800;
+    EXPECT_EQ(encoded(eh), (Bytes{0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f, 0x10,
+                                  0x20, 0x30, 0x40, 0x50, 0x60, 0x08, 0x00}));
+
+    net::Ipv4Header ip;
+    ip.tos = 0x10;
+    ip.total_length = 0x1234;
+    ip.identification = 0xabcd;
+    ip.src = 0x0a000001;
+    ip.dst = 0xc0a80102;
+    // Header checksum 0xb13b: the one's complement of the folded sum.
+    EXPECT_EQ(encoded(ip),
+              (Bytes{0x45, 0x10, 0x12, 0x34, 0xab, 0xcd, 0x40, 0x00, 0x40,
+                     0x06, 0xb1, 0x3b, 0x0a, 0x00, 0x00, 0x01, 0xc0, 0xa8,
+                     0x01, 0x02}));
+
+    net::TcpHeader tcp;
+    tcp.src_port = kVrioPort;
+    tcp.dst_port = kVrioPort;
+    tcp.seq = 0x01020304;
+    tcp.ack = 0xa0b0c0d0;
+    EXPECT_EQ(encoded(tcp),
+              (Bytes{0x56, 0x52, 0x56, 0x52, 0x01, 0x02, 0x03, 0x04, 0xa0,
+                     0xb0, 0xc0, 0xd0, 0x50, 0x10, 0xff, 0xff, 0x00, 0x00,
+                     0x00, 0x00}));
+
+    TransportHeader th;
+    th.type = MsgType::BlkResp;
+    th.device_id = 0x11223344;
+    th.request_serial = 0x0102030405060708;
+    th.generation = 0x0a0b;
+    th.part = 1;
+    th.parts = 3;
+    th.flags = kFlagRetransmit;
+    th.total_len = 0x1000;
+    th.io_len = 0x3000;
+    th.sector = 0x1122334455667788;
+    th.payload_csum = 0xbeef;
+    EXPECT_EQ(encoded(th),
+              (Bytes{0x52, 0x56, 0x01, 0x04, 0x44, 0x33, 0x22, 0x11, 0x08,
+                     0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0x0b, 0x0a,
+                     0x01, 0x00, 0x03, 0x00, 0x01, 0x00, 0x00, 0x10, 0x00,
+                     0x00, 0x00, 0x30, 0x00, 0x00, 0x88, 0x77, 0x66, 0x55,
+                     0x44, 0x33, 0x22, 0x11, 0x00, 0x00, 0xef, 0xbe}));
+}
+
+TEST(CodecProperty, EncapsulatedFrameMatchesReferenceVector)
+{
+    // A whole sealed frame, as the codec produced it before it was
+    // reworked: any change to a header layout or to the seal shows.
+    TransportHeader hdr;
+    hdr.type = MsgType::BlkReq;
+    hdr.device_id = 3;
+    hdr.request_serial = 42;
+    hdr.sector = 8;
+    hdr.io_len = 4;
+    hdr.blk_type = uint8_t(virtio::BlkType::Out);
+    hdr.total_len = 4;
+    Bytes payload = {'v', 'R', 'I', 'O'};
+    auto frame = encapsulate(MacAddress::local(1), MacAddress::local(2), 7,
+                             hdr, payload);
+    EXPECT_EQ(frame->bytes, kReferenceFrame);
+}
+
+TEST(CodecProperty, RandomHeadersRoundTrip)
+{
+    sim::Random rng(0xc0dec);
+    for (int i = 0; i < 2000; ++i) {
+        net::EtherHeader eh;
+        eh.dst = MacAddress::fromU64(rng.next() & 0xffffffffffffull);
+        eh.src = MacAddress::fromU64(rng.next() & 0xffffffffffffull);
+        eh.ether_type = uint16_t(rng.next());
+        Bytes eb = encoded(eh);
+        ASSERT_EQ(eb.size(), net::kEtherHeaderSize);
+        ByteReader er(eb);
+        auto ed = net::EtherHeader::decode(er);
+        EXPECT_EQ(ed.dst, eh.dst);
+        EXPECT_EQ(ed.src, eh.src);
+        EXPECT_EQ(ed.ether_type, eh.ether_type);
+
+        net::Ipv4Header ip;
+        ip.tos = uint8_t(rng.next());
+        ip.total_length = uint16_t(rng.next());
+        ip.identification = uint16_t(rng.next());
+        ip.ttl = uint8_t(rng.next());
+        ip.protocol = uint8_t(rng.next());
+        ip.src = uint32_t(rng.next());
+        ip.dst = uint32_t(rng.next());
+        Bytes ib = encoded(ip);
+        ASSERT_EQ(ib.size(), net::kIpv4HeaderSize);
+        EXPECT_EQ(net::inetChecksum(ib), 0);
+        ByteReader ir(ib);
+        bool ok = false;
+        auto id = net::Ipv4Header::decode(ir, &ok);
+        EXPECT_TRUE(ok);
+        EXPECT_EQ(encoded(id), ib);
+
+        net::TcpHeader tcp;
+        tcp.src_port = uint16_t(rng.next());
+        tcp.dst_port = uint16_t(rng.next());
+        tcp.seq = uint32_t(rng.next());
+        tcp.ack = uint32_t(rng.next());
+        tcp.flags = uint8_t(rng.next());
+        tcp.window = uint16_t(rng.next());
+        Bytes tb = encoded(tcp);
+        ByteReader tr(tb);
+        EXPECT_EQ(encoded(net::TcpHeader::decode(tr)), tb);
+
+        TransportHeader th;
+        th.type = MsgType(rng.uniformInt(1, 11));
+        th.device_id = uint32_t(rng.next());
+        th.request_serial = rng.next();
+        th.generation = uint16_t(rng.next());
+        th.part = uint16_t(rng.next());
+        th.parts = uint16_t(rng.next());
+        th.flags = uint16_t(rng.next());
+        th.total_len = uint32_t(rng.next());
+        th.io_len = uint32_t(rng.next());
+        th.sector = rng.next();
+        th.blk_type = uint8_t(rng.next());
+        th.status = uint8_t(rng.next());
+        th.payload_csum = uint16_t(rng.next());
+        Bytes hb = encoded(th);
+        ASSERT_EQ(hb.size(), TransportHeader::kSize);
+        ByteReader hr(hb);
+        TransportHeader hd;
+        ASSERT_TRUE(TransportHeader::decode(hr, hd));
+        EXPECT_EQ(encoded(hd), hb);
+    }
+}
+
+// -- reassembly against the original dense-buffer algorithm --------------
+
+/**
+ * The reassembler as first written: one zero-filled buffer per message
+ * holding header and payload, an extents map, and the payload copied
+ * out at the end.  The production reassembler must agree with it on
+ * every segment sequence.
+ */
+class ReferenceReassembler
+{
+  public:
+    explicit ReferenceReassembler(uint32_t mtu) : mtu(mtu) {}
+
+    std::optional<Message>
+    feed(const net::Frame &frame)
+    {
+        Segment seg;
+        if (!decapsulate(frame, seg)) {
+            ++foreign;
+            return std::nullopt;
+        }
+        auto key = std::make_pair(seg.src.toU64(), seg.wire_msg_id);
+        Partial &p = partials[key];
+        uint32_t len = uint32_t(seg.data.size());
+        for (const auto &[eoff, elen] : p.extents) {
+            if (seg.offset < eoff + elen && eoff < seg.offset + len)
+                len = 0;
+        }
+        if (len == 0) {
+            ++duplicates;
+            return std::nullopt;
+        }
+        if (p.data.size() < seg.offset + len)
+            p.data.resize(seg.offset + len);
+        std::copy(seg.data.begin(), seg.data.end(),
+                  p.data.begin() + seg.offset);
+        p.extents[seg.offset] = len;
+        p.received += len;
+        if (seg.offset == 0) {
+            ByteReader r(seg.data);
+            TransportHeader hdr;
+            if (!TransportHeader::decode(r, hdr)) {
+                partials.erase(key);
+                ++foreign;
+                return std::nullopt;
+            }
+            p.expected = uint32_t(TransportHeader::kSize) + hdr.total_len;
+        }
+        if (!p.expected || p.received < *p.expected)
+            return std::nullopt;
+        if (!verifyMessage(p.data)) {
+            partials.erase(key);
+            ++checksum_drops;
+            return std::nullopt;
+        }
+        Message msg;
+        ByteReader r(p.data);
+        TransportHeader::decode(r, msg.hdr);
+        msg.payload = r.getBytes(msg.hdr.total_len);
+        msg.src = seg.src;
+        msg.dst = seg.dst;
+        msg.zero_copy = zeroCopyEligible(*p.expected, mtu);
+        copied += !msg.zero_copy;
+        partials.erase(key);
+        ++completed;
+        return msg;
+    }
+
+    uint32_t mtu;
+    uint64_t completed = 0, foreign = 0, duplicates = 0, copied = 0,
+             checksum_drops = 0;
+    struct Partial
+    {
+        Bytes data;
+        std::map<uint32_t, uint32_t> extents;
+        uint32_t received = 0;
+        std::optional<uint32_t> expected;
+    };
+    std::map<std::pair<uint64_t, uint32_t>, Partial> partials;
+};
+
+/** A vRIO wire frame carrying bytes [offset, offset+len) of @p message. */
+net::FramePtr
+segmentFrame(MacAddress src, uint32_t wire_id, std::span<const uint8_t> message,
+             uint32_t offset, uint32_t len)
+{
+    net::EtherHeader eh;
+    eh.src = src;
+    eh.dst = MacAddress::local(2);
+    eh.ether_type = uint16_t(net::EtherType::Ipv4);
+    Bytes l3;
+    ByteWriter w(l3);
+    net::Ipv4Header ip;
+    ip.total_length =
+        uint16_t(net::kIpv4HeaderSize + net::kTcpHeaderSize + len);
+    ip.encode(w);
+    net::TcpHeader tcp;
+    tcp.src_port = tcp.dst_port = kVrioPort;
+    tcp.seq = offset;
+    tcp.ack = wire_id;
+    tcp.encode(w);
+    w.putBytes(message.subspan(offset, len));
+    return net::makeFrame(eh, l3);
+}
+
+/** Encapsulated message bytes (header + payload, sealed). */
+Bytes
+sealedMessage(sim::Random &rng, uint64_t serial, size_t payload_len)
+{
+    TransportHeader hdr;
+    hdr.type = MsgType::BlkResp;
+    hdr.device_id = 5;
+    hdr.request_serial = serial;
+    hdr.total_len = uint32_t(payload_len);
+    Bytes payload(payload_len);
+    for (auto &b : payload)
+        b = uint8_t(rng.next());
+    auto frame = encapsulate(MacAddress::local(1), MacAddress::local(2), 1,
+                             hdr, payload);
+    constexpr size_t kL234 = net::kEtherHeaderSize + net::kIpv4HeaderSize +
+                             net::kTcpHeaderSize;
+    return Bytes(frame->bytes.begin() + kL234, frame->bytes.end());
+}
+
+void
+expectSameMessage(const std::optional<Message> &got,
+                  const std::optional<Message> &want)
+{
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (!got)
+        return;
+    EXPECT_EQ(encoded(got->hdr), encoded(want->hdr));
+    EXPECT_EQ(got->payload, want->payload);
+    EXPECT_EQ(got->src, want->src);
+    EXPECT_EQ(got->dst, want->dst);
+    EXPECT_EQ(got->zero_copy, want->zero_copy);
+}
+
+class ReassemblyEquivalence : public ::testing::TestWithParam<uint64_t>
+{};
+
+TEST_P(ReassemblyEquivalence, MatchesReferenceOnHostileSegmentSequences)
+{
+    sim::Random rng(GetParam());
+    sim::Simulation sim;
+    uint32_t mtu = rng.bernoulli(0.5) ? net::kMtuVrioJumbo : net::kMtuStandard;
+    Reassembler reasm(sim.events(), mtu);
+    ReferenceReassembler ref(mtu);
+
+    for (int iter = 0; iter < 200; ++iter) {
+        // A few messages from different senders, interleaved.  Wire ids
+        // repeat across rounds, so late segments meet finished keys.
+        std::vector<net::FramePtr> frames;
+        int nmsgs = int(rng.uniformInt(1, 4));
+        for (int m = 0; m < nmsgs; ++m) {
+            size_t plen = rng.bernoulli(0.2) ? rng.uniformInt(0, 64)
+                                             : rng.uniformInt(0, 20000);
+            Bytes msg = sealedMessage(rng, uint64_t(iter), plen);
+            MacAddress src = MacAddress::local(10 + uint64_t(m));
+            uint32_t wire_id = uint32_t(rng.uniformInt(0, 7));
+
+            // Faults: a flipped payload (or serial) bit fails only the
+            // end-to-end checksum; a bad magic fails the header decode.
+            // total_len stays intact: a wrong one overshoots, which
+            // both reassemblers treat as a panic.
+            int fault = int(rng.uniformInt(0, 9));
+            if (fault == 0) {
+                size_t at = plen ? rng.uniformInt(TransportHeader::kSize,
+                                                  msg.size() - 1)
+                                 : 8;
+                msg[at] ^= 0x20;
+            } else if (fault == 1) {
+                msg[0] ^= 0xff;
+            }
+
+            // Send whole (the one-frame case) or cut into in-order
+            // pieces, then add duplicates, overlapping slices and
+            // (sometimes) a runt offset-0 piece.
+            uint32_t len = uint32_t(msg.size());
+            uint32_t max_piece = rng.bernoulli(0.3) ? len : len / 3 + 1;
+            uint32_t off = 0;
+            while (off < len) {
+                uint32_t piece = uint32_t(rng.uniformInt(1, max_piece));
+                piece = std::min(piece, len - off);
+                frames.push_back(segmentFrame(src, wire_id, msg, off, piece));
+                if (rng.bernoulli(0.1))
+                    frames.push_back(frames.back());
+                off += piece;
+            }
+            for (int k = int(rng.uniformInt(0, 2)); k > 0; --k) {
+                uint32_t a = uint32_t(rng.uniformInt(0, len - 1));
+                uint32_t b = uint32_t(rng.uniformInt(a + 1, len));
+                frames.push_back(segmentFrame(src, wire_id, msg, a, b - a));
+            }
+            if (fault == 2) {
+                uint32_t runt = uint32_t(rng.uniformInt(1, 43));
+                frames.push_back(segmentFrame(src, wire_id, msg, 0, runt));
+            }
+        }
+        if (rng.bernoulli(0.7)) {
+            for (size_t i = frames.size(); i > 1; --i)
+                std::swap(frames[i - 1], frames[rng.uniformInt(0, i - 1)]);
+        }
+
+        for (const auto &f : frames) {
+            auto got = reasm.feed(*f);
+            auto want = ref.feed(*f);
+            expectSameMessage(got, want);
+            ASSERT_EQ(reasm.messagesCompleted(), ref.completed);
+            ASSERT_EQ(reasm.foreignFrames(), ref.foreign);
+            ASSERT_EQ(reasm.duplicateSegments(), ref.duplicates);
+            ASSERT_EQ(reasm.checksumDrops(), ref.checksum_drops);
+            ASSERT_EQ(reasm.copiedReassemblies(), ref.copied);
+            ASSERT_EQ(reasm.partialCount(), ref.partials.size());
+        }
+
+        // Expire what is left before the wire ids come round again.
+        sim.runUntil(sim.now() + sim::Tick(200) * sim::kMillisecond);
+        ASSERT_EQ(reasm.partialCount(), 0u);
+        ref.partials.clear();
+    }
+    // Every path ran.
+    EXPECT_GT(ref.completed, 0u);
+    EXPECT_GT(ref.checksum_drops, 0u);
+    EXPECT_GT(ref.duplicates, 0u);
+    EXPECT_GT(ref.foreign, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReassemblyEquivalence,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
 
 } // namespace
 } // namespace vrio::transport

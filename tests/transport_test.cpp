@@ -285,6 +285,19 @@ TEST(Reassembler, CountsForeignFrames)
     EXPECT_EQ(h.reasm.foreignFrames(), 1u);
 }
 
+TEST(Reassembler, SegmentPastTheMessageBoundIsForeign)
+{
+    // A TCP seq beyond any 64KB message must not size a buffer.
+    ReassemblyHarness h;
+    auto frame = encapsulate(MacAddress::local(1), MacAddress::local(2), 9,
+                             netHeader(4), Bytes{1, 2, 3, 4});
+    constexpr size_t kSeqAt = net::kEtherHeaderSize + net::kIpv4HeaderSize + 4;
+    frame->bytes[kSeqAt] = 0xff; // seq = 0xff000000
+    EXPECT_FALSE(h.reasm.feed(*frame).has_value());
+    EXPECT_EQ(h.reasm.foreignFrames(), 1u);
+    EXPECT_EQ(h.reasm.partialCount(), 0u);
+}
+
 TEST(Reassembler, CopiedReassemblyForStandardMtu)
 {
     sim::Simulation sim;
@@ -343,6 +356,29 @@ TEST(Segmenter, LargeBlockPayloadSplits)
                        parts[i].payload.end());
     }
     EXPECT_EQ(rebuilt, payload);
+}
+
+TEST(Segmenter, PartsViewThePayloadWithoutCopying)
+{
+    TransportHeader proto;
+    proto.type = MsgType::BlkResp;
+    Bytes payload(2 * kMaxMessagePayload + 10, 0x5a);
+    std::vector<std::pair<TransportHeader, std::span<const uint8_t>>> seen;
+    forEachPart(proto, payload,
+                [&](const TransportHeader &hdr, std::span<const uint8_t> s) {
+                    seen.emplace_back(hdr, s);
+                });
+    ASSERT_EQ(seen.size(), 3u);
+    size_t off = 0;
+    for (size_t i = 0; i < seen.size(); ++i) {
+        EXPECT_EQ(seen[i].first.part, i);
+        EXPECT_EQ(seen[i].first.parts, 3);
+        EXPECT_EQ(seen[i].first.total_len, seen[i].second.size());
+        EXPECT_EQ(seen[i].second.data(), payload.data() + off);
+        off += seen[i].second.size();
+    }
+    EXPECT_EQ(off, payload.size());
+    EXPECT_EQ(seen[2].second.size(), 10u);
 }
 
 TEST(MessageAssembler, SinglePartPassThrough)

@@ -14,6 +14,7 @@
 #include "util/crc32_impl.hpp"
 #include "util/hexdump.hpp"
 #include "util/strutil.hpp"
+#include "util/zeroed_bytes.hpp"
 
 namespace vrio {
 namespace {
@@ -96,6 +97,38 @@ TEST(ByteReader, ViewAndSkip)
     EXPECT_EQ(v[1], 3);
     Bytes rest = r.getBytes(2);
     EXPECT_EQ(rest, (Bytes{4, 5}));
+}
+
+TEST(ZeroedBytes, StartsZeroedAndWritableToTheLastByte)
+{
+    for (size_t size : {size_t(2), size_t(4095), size_t(4096),
+                        size_t(3 << 20)}) {
+        ZeroedBytes b(size);
+        ASSERT_EQ(b.size(), size);
+        EXPECT_EQ(b[0], 0);
+        EXPECT_EQ(b[size - 1], 0);
+        b[0] = 0xa5;
+        b[size - 1] = 0x5a;
+        EXPECT_EQ(b.data()[0], 0xa5);
+        EXPECT_EQ(b.data()[size - 1], 0x5a);
+    }
+}
+
+TEST(ZeroedBytes, MoveKeepsTheBytes)
+{
+    ZeroedBytes a(8192);
+    a[8191] = 7;
+    ZeroedBytes b(std::move(a));
+    EXPECT_EQ(b.size(), 8192u);
+    EXPECT_EQ(b[8191], 7);
+}
+
+TEST(ZeroedBytes, RunningOffTheEndFaults)
+{
+    // A page-multiple store ends exactly at its guard page.
+    ZeroedBytes b(4 * 4096);
+    volatile uint8_t *end = b.data() + b.size();
+    EXPECT_DEATH(*end = 1, "");
 }
 
 TEST(Crc32, KnownVectors)

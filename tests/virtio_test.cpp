@@ -60,6 +60,33 @@ TEST(GuestMemory, OutOfBoundsPanics)
     EXPECT_DEATH(mem.writeU64(63, 1), "out of bounds");
 }
 
+TEST(GuestMemory, StoreReadsZeroUntilWritten)
+{
+    // Not a page multiple, so the store ends inside a page.
+    const size_t size = (1u << 20) + 8;
+    GuestMemory mem(size);
+    EXPECT_EQ(mem.read(0, 64), Bytes(64, 0));
+    EXPECT_EQ(mem.read(size / 2, 64), Bytes(64, 0));
+    EXPECT_EQ(mem.read(size - 8, 8), Bytes(8, 0));
+    EXPECT_EQ(mem.readU64(size - 8), 0u);
+
+    // Write-then-read round-trips up to the last byte.
+    Bytes data = {9, 8, 7, 6, 5, 4, 3, 2};
+    mem.write(size - 8, data);
+    EXPECT_EQ(mem.read(size - 8, 8), data);
+    EXPECT_EQ(mem.read(size - 16, 8), Bytes(8, 0));
+
+    // fill() re-zeroes, as a queue ring's set-up relies on.
+    mem.fill(size - 8, 8);
+    EXPECT_EQ(mem.read(size - 8, 8), Bytes(8, 0));
+
+    // Bounds checks still stop at the declared size.
+    EXPECT_DEATH(mem.read(size - 8, 9), "out of bounds");
+    EXPECT_DEATH(mem.write(size, Bytes{1}), "out of bounds");
+    EXPECT_DEATH(mem.fill(size - 1, 2), "out of bounds");
+    EXPECT_DEATH(mem.window(size, 1), "out of bounds");
+}
+
 TEST(GuestMemory, DoubleFreePanics)
 {
     GuestMemory mem(1024);
