@@ -107,7 +107,8 @@ measureBlockCell(bench::Experiment &exp,
     out.p99_us = merged.count() ? merged.percentile(99) : 0;
     if (auto *vm = dynamic_cast<models::VrioModel *>(exp.model)) {
         for (unsigned v = 0; v < exp.model->numVms(); ++v)
-            out.retransmits += vm->clientRetransmissions(v);
+            out.retransmits += bench::clientCount(
+                *vm, v, "transport.rtq.retransmissions");
     }
     return out;
 }
@@ -253,7 +254,8 @@ runOutageTimeline()
 
     auto *vm = dynamic_cast<models::VrioModel *>(exp.model);
     for (unsigned v = 0; v < n_vms; ++v)
-        out.retransmits += vm->clientRetransmissions(v);
+        out.retransmits +=
+            bench::clientCount(*vm, v, "transport.rtq.retransmissions");
     for (auto &wl : wls)
         out.errors += wl->ioErrors();
     out.offline_rx_drops = vm->hypervisor().offlineRxDrops();
@@ -635,8 +637,9 @@ runRecoveryCell(RecoveryFault f)
         out.recover_ms = 0;
 
     for (unsigned v = 0; v < n_vms; ++v) {
-        out.retransmits += vm->clientRetransmissions(v);
-        out.failovers += vm->clientFailovers(v);
+        out.retransmits +=
+            bench::clientCount(*vm, v, "transport.rtq.retransmissions");
+        out.failovers += bench::clientCount(*vm, v, "client.failovers");
     }
     out.tcp_retransmits = stream->tcpRetransmits();
     out.duplicates = vm->hypervisor().duplicatesSuppressed();

@@ -74,7 +74,8 @@ burst(size_t ring)
     for (const net::Nic *nic : vm.allNics())
         res.drops += nic->rxDrops();
     for (unsigned v = 0; v < 4; ++v)
-        res.retransmissions += vm.clientRetransmissions(v);
+        res.retransmissions +=
+            bench::clientCount(vm, v, "transport.rtq.retransmissions");
     res.write_latency_ms = latency_ms.mean();
     return res;
 }

@@ -291,6 +291,14 @@ registryCounterSum(Experiment &exp, std::string_view name)
     return exp.sim->telemetry().metrics.sumCounters(name);
 }
 
+uint64_t
+clientCount(models::IoModel &model, unsigned vm_index,
+            std::string_view series)
+{
+    hv::Vm &vm = model.guest(vm_index).vm();
+    return vm.sim().telemetry().metrics.count(series, {{"vm", vm.name()}});
+}
+
 std::unique_ptr<fault::FaultInjector>
 attachInjector(Experiment &exp, const fault::FaultPlan &plan)
 {

@@ -126,6 +126,15 @@ struct FaultedStreamResult
 uint64_t registryCounterSum(Experiment &exp, std::string_view name);
 
 /**
+ * Client @p vm_index's count in its {vm} telemetry series @p series
+ * (DESIGN.md §12), e.g. "client.failovers".  Panics when the series
+ * does not exist: a feature-gated series is only registered where
+ * its feature is configured.
+ */
+uint64_t clientCount(models::IoModel &model, unsigned vm_index,
+                     std::string_view series);
+
+/**
  * Netperf TCP stream driven through a fault plan (loss sweeps); the
  * stream config selects the legacy fixed-window or the adaptive
  * congestion-controlled stack.

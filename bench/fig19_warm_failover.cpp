@@ -214,8 +214,10 @@ runCell(Scenario sc)
     if (moved)
         out.blackout_ms /= double(moved);
     for (unsigned v = 0; v < n_vms; ++v) {
-        out.failovers += vm->clientFailovers(v);
-        out.rehomes += vm->clientRehomes(v);
+        out.failovers += bench::clientCount(*vm, v, "client.failovers");
+        // Re-home and fail-back series exist only with their feature.
+        if (sc != Scenario::Cold)
+            out.rehomes += bench::clientCount(*vm, v, "rack.rehomes");
     }
     for (unsigned k = 0; k < 2; ++k) {
         auto &hv = vm->rackHypervisor(k);
@@ -237,7 +239,8 @@ runCell(Scenario sc)
         out.held += vm->rackHypervisor(k).heldResponses();
     out.homes_restored = true;
     for (unsigned v = 0; v < n_vms; ++v) {
-        out.failbacks += vm->clientFailbacks(v);
+        if (sc == Scenario::Failback)
+            out.failbacks += bench::clientCount(*vm, v, "rack.failbacks");
         if (vm->clientHomeIoHost(v) != v % 2)
             out.homes_restored = false;
     }

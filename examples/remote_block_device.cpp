@@ -69,11 +69,15 @@ main()
     }
     std::printf("reads: %d verified, %d corrupt\n", verified, corrupt);
 
-    auto &vm = static_cast<models::VrioModel &>(tb.model());
+    // Per-client protocol counts are telemetry series labelled by VM.
+    const auto &metrics = tb.simulation().telemetry().metrics;
+    telemetry::Labels vm0{{"vm", guest.vm().name()}};
     std::printf("\nprotocol work under 3%% loss: %llu retransmissions, "
                 "%llu stale responses ignored\n",
-                (unsigned long long)vm.clientRetransmissions(0),
-                (unsigned long long)vm.clientStaleResponses(0));
+                (unsigned long long)metrics.count(
+                    "transport.rtq.retransmissions", vm0),
+                (unsigned long long)metrics.count(
+                    "transport.rtq.stale_responses", vm0));
     std::printf("(data integrity held: the guest disk scheduler's "
                 "single-outstanding-request-per-block invariant makes "
                 "blind retransmission safe.)\n");

@@ -5,11 +5,12 @@
  * The load-imbalance experiment (Fig. 16b) runs AES-256 as a real
  * interposition service on the I/O hypervisor, so the cycles the
  * encryption consumes on a sidecore are generated by real work.
- * encryptBlock()/decryptBlock() are the portable byte-wise cipher (one
- * S-box lookup per byte, MixColumns by xtime); CTR mode (modes.hpp)
- * runs AES-NI rounds over the same round keys when the CPU has them
- * and this byte-wise code otherwise.  Constant-time hardening is out
- * of scope — the threat model here is benchmarking, not side channels.
+ * encryptBlock() is the portable byte-wise cipher (one S-box lookup
+ * per byte, MixColumns by xtime).  CTR mode (modes.hpp) needs no
+ * inverse cipher; it runs AES-NI rounds over the same round keys when
+ * the CPU has them and this byte-wise code otherwise.  Constant-time
+ * hardening is out of scope — the threat model here is benchmarking,
+ * not side channels.
  */
 #ifndef VRIO_CRYPTO_AES_HPP
 #define VRIO_CRYPTO_AES_HPP
@@ -31,8 +32,6 @@ class Aes
 
     /** Encrypt one 16-byte block in place. */
     void encryptBlock(uint8_t block[kBlockSize]) const;
-    /** Decrypt one 16-byte block in place. */
-    void decryptBlock(uint8_t block[kBlockSize]) const;
 
     /** Number of rounds (10/12/14 for 128/192/256-bit keys). */
     int rounds() const { return nr; }

@@ -37,40 +37,6 @@ pkcs7Unpad(std::span<const uint8_t> data, Bytes &out)
     return true;
 }
 
-Bytes
-cbcEncrypt(const Aes &aes, const Iv &iv, std::span<const uint8_t> plaintext)
-{
-    Bytes buf = pkcs7Pad(plaintext);
-    const uint8_t *prev = iv.data();
-    for (size_t off = 0; off < buf.size(); off += Aes::kBlockSize) {
-        for (size_t i = 0; i < Aes::kBlockSize; ++i)
-            buf[off + i] ^= prev[i];
-        aes.encryptBlock(buf.data() + off);
-        prev = buf.data() + off;
-    }
-    return buf;
-}
-
-bool
-cbcDecrypt(const Aes &aes, const Iv &iv, std::span<const uint8_t> ciphertext,
-           Bytes &out)
-{
-    out.clear();
-    if (ciphertext.empty() || ciphertext.size() % Aes::kBlockSize != 0)
-        return false;
-    Bytes buf(ciphertext.begin(), ciphertext.end());
-    Bytes prev(iv.begin(), iv.end());
-    for (size_t off = 0; off < buf.size(); off += Aes::kBlockSize) {
-        Bytes cipher_block(buf.begin() + off,
-                           buf.begin() + off + Aes::kBlockSize);
-        aes.decryptBlock(buf.data() + off);
-        for (size_t i = 0; i < Aes::kBlockSize; ++i)
-            buf[off + i] ^= prev[i];
-        prev = std::move(cipher_block);
-    }
-    return pkcs7Unpad(buf, out);
-}
-
 namespace detail {
 
 namespace {

@@ -1,10 +1,10 @@
 /**
  * @file
- * AES block cipher modes: CBC (with PKCS#7 padding) and CTR.
+ * AES in CTR mode, plus PKCS#7 padding helpers.
  *
  * The interposition encryption service (interpose/services.hpp) uses
  * CTR, in place via ctrXor(), for both block and packet payloads:
- * neither may change length.  CBC is kept for the mode tests.
+ * neither may change length.
  */
 #ifndef VRIO_CRYPTO_MODES_HPP
 #define VRIO_CRYPTO_MODES_HPP
@@ -14,9 +14,6 @@
 
 namespace vrio::crypto {
 
-/** 16-byte initialization vector. */
-using Iv = std::array<uint8_t, Aes::kBlockSize>;
-
 /** PKCS#7: pad to a whole number of blocks (always adds 1..16 bytes). */
 Bytes pkcs7Pad(std::span<const uint8_t> data);
 
@@ -25,17 +22,6 @@ Bytes pkcs7Pad(std::span<const uint8_t> data);
  * the padding is malformed.
  */
 bool pkcs7Unpad(std::span<const uint8_t> data, Bytes &out);
-
-/** CBC-encrypt @p plaintext (PKCS#7 padded internally). */
-Bytes cbcEncrypt(const Aes &aes, const Iv &iv,
-                 std::span<const uint8_t> plaintext);
-
-/**
- * CBC-decrypt and strip padding; returns false on malformed input
- * (not a whole number of blocks, or bad padding).
- */
-bool cbcDecrypt(const Aes &aes, const Iv &iv,
-                std::span<const uint8_t> ciphertext, Bytes &out);
 
 /**
  * CTR keystream XOR in place (encrypt == decrypt).  Counter block i is

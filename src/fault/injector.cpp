@@ -175,8 +175,6 @@ FaultInjector::arm()
 void
 FaultInjector::beginOutage(const OutageWindow &w)
 {
-    ++outage_count;
-    statCounter("outages").inc();
     noteFault(kOutage, w.iohost);
     targetIoHost(w.iohost).setOffline(true);
 }
@@ -190,7 +188,6 @@ FaultInjector::endOutage(const OutageWindow &w)
 void
 FaultInjector::beginStall(const StallWindow &w)
 {
-    statCounter("stalls").inc();
     noteFault(kStall, 0);
     // Occupy the sidecore with dead time; queued work resumes after.
     targetIoHost(w.iohost).workerCore(w.worker).runFor(w.duration,
@@ -200,8 +197,6 @@ FaultInjector::beginStall(const StallWindow &w)
 void
 FaultInjector::beginWedge(const WedgeWindow &w)
 {
-    ++wedge_count;
-    statCounter("wedges").inc();
     noteFault(kWedge, 0);
     // Unlike beginStall's bounded dead time, a wedge pauses the worker
     // core's resource outright: jobs queue behind it forever.  Nothing
@@ -227,8 +222,6 @@ FaultInjector::beginPortDown(const PortDownWindow &w)
                   "no traffic has been seen from it — skipping");
         return;
     }
-    ++port_down_count;
-    statCounter("port_downs").inc();
     noteFault(kPortDown, 0);
     switch_->setPortDown(*port, true);
     sim().events().schedule(w.duration, [this, p = *port]() {
@@ -239,7 +232,6 @@ FaultInjector::beginPortDown(const PortDownWindow &w)
 void
 FaultInjector::beginSqueeze(const RxSqueezeWindow &w)
 {
-    statCounter("squeezes").inc();
     noteFault(kSqueeze, 0);
     for (net::Nic *nic : rings)
         nic->setRxRingLimit(w.limit);
@@ -279,8 +271,6 @@ FaultInjector::onTransmit(net::Link &link, int direction,
     // Correlated burst loss runs first: a frame the channel's bad
     // state eats never reaches the i.i.d. fault lottery.
     if (plan_.burst.active() && burstStep(link, direction)) {
-        ++burst_drops;
-        statCounter("injected.burst_drop").inc();
         tm_injected[kBurstDrop]->inc();
         v.kind = net::FaultVerdict::Kind::Drop;
         return v;
@@ -296,24 +286,18 @@ FaultInjector::onTransmit(net::Link &link, int direction,
     double u = rng.uniform();
     double acc = spec.drop_rate;
     if (u < acc) {
-        ++drops;
-        statCounter("injected.drop").inc();
         tm_injected[kDrop]->inc();
         v.kind = net::FaultVerdict::Kind::Drop;
         return v;
     }
     acc += spec.corrupt_rate;
     if (u < acc) {
-        ++corrupts;
-        statCounter("injected.corrupt").inc();
         tm_injected[kCorrupt]->inc();
         v.kind = net::FaultVerdict::Kind::Corrupt;
         return v;
     }
     acc += spec.delay_rate;
     if (u < acc) {
-        ++delays;
-        statCounter("injected.delay").inc();
         tm_injected[kDelay]->inc();
         v.kind = net::FaultVerdict::Kind::Delay;
         v.extra_delay =
@@ -322,8 +306,6 @@ FaultInjector::onTransmit(net::Link &link, int direction,
     }
     acc += spec.reorder_rate;
     if (u < acc) {
-        ++reorders;
-        statCounter("injected.reorder").inc();
         tm_injected[kReorder]->inc();
         // Holding this frame for a fixed window lets frames serialized
         // behind it arrive first.
@@ -335,8 +317,6 @@ FaultInjector::onTransmit(net::Link &link, int direction,
     // none of them reproduces the historical draw boundaries exactly.
     acc += spec.corrupt_payload_rate;
     if (u < acc) {
-        ++payload_corrupts;
-        statCounter("injected.corrupt_payload").inc();
         tm_injected[kPayloadCorrupt]->inc();
         v.kind = net::FaultVerdict::Kind::CorruptPayload;
         return v;

@@ -14,8 +14,8 @@
  * is all-zero — makes no draws and schedules nothing, leaving the
  * event schedule bit-identical to a run with no injector attached.
  *
- * Every injected fault and triggered window is counted under
- * "<name>.*" in the simulation's stats::Registry.
+ * Every injected fault and triggered window is counted once, in the
+ * `fault.injected{injector=<name>,kind=...}` telemetry series.
  */
 #ifndef VRIO_FAULT_INJECTOR_HPP
 #define VRIO_FAULT_INJECTOR_HPP
@@ -84,18 +84,21 @@ class FaultInjector : public sim::SimObject, public net::LinkFaultHook
      */
     void clearWedge(unsigned worker, unsigned iohost = 0);
 
-    // -- injection counts (also in the stats registry) ---------------
-    uint64_t framesDropped() const { return drops; }
-    uint64_t framesCorrupted() const { return corrupts; }
-    uint64_t framesDelayed() const { return delays; }
-    uint64_t framesReordered() const { return reorders; }
+    // -- injection counts (the fault.injected series) ----------------
+    uint64_t framesDropped() const { return injected(kDrop); }
+    uint64_t framesCorrupted() const { return injected(kCorrupt); }
+    uint64_t framesDelayed() const { return injected(kDelay); }
+    uint64_t framesReordered() const { return injected(kReorder); }
     /** Frames lost to the Gilbert-Elliott burst process. */
-    uint64_t framesBurstDropped() const { return burst_drops; }
+    uint64_t framesBurstDropped() const { return injected(kBurstDrop); }
     /** Frames delivered with an FCS-passing payload flip. */
-    uint64_t framesPayloadCorrupted() const { return payload_corrupts; }
-    uint64_t outagesTriggered() const { return outage_count; }
-    uint64_t wedgesTriggered() const { return wedge_count; }
-    uint64_t portDownsTriggered() const { return port_down_count; }
+    uint64_t framesPayloadCorrupted() const
+    {
+        return injected(kPayloadCorrupt);
+    }
+    uint64_t outagesTriggered() const { return injected(kOutage); }
+    uint64_t wedgesTriggered() const { return injected(kWedge); }
+    uint64_t portDownsTriggered() const { return injected(kPortDown); }
     /** Same-IOhost outage windows merged into an earlier one by arm(). */
     uint64_t outagesCoalesced() const { return outages_coalesced; }
 
@@ -130,15 +133,6 @@ class FaultInjector : public sim::SimObject, public net::LinkFaultHook
     net::Switch *switch_ = nullptr;
     bool armed = false;
 
-    uint64_t drops = 0;
-    uint64_t corrupts = 0;
-    uint64_t delays = 0;
-    uint64_t reorders = 0;
-    uint64_t burst_drops = 0;
-    uint64_t payload_corrupts = 0;
-    uint64_t outage_count = 0;
-    uint64_t wedge_count = 0;
-    uint64_t port_down_count = 0;
     uint64_t outages_coalesced = 0;
 
     /** Fault kinds as telemetry labels (`fault.injected{kind=...}`). */
@@ -162,6 +156,12 @@ class FaultInjector : public sim::SimObject, public net::LinkFaultHook
 
     /** Counter bump + (when tracing) a fault instant. */
     void noteFault(unsigned kind, uint64_t arg);
+    /** Faults of @p kind injected so far. */
+    uint64_t
+    injected(unsigned kind) const
+    {
+        return tm_injected[kind]->value();
+    }
 
     /** True when the burst chain (state advanced) eats this frame. */
     bool burstStep(net::Link &link, int direction);

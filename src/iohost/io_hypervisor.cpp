@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "block/alignment.hpp"
 #include "sim/ticks.hpp"
@@ -45,6 +46,7 @@ IoHypervisor::IoHypervisor(sim::Simulation &sim, std::string name,
     offline_rx_drops = &m.counter("iohost.offline_rx_drops", l);
     offline_tx_drops = &m.counter("iohost.offline_tx_drops", l);
     polls = &m.counter("iohost.polls", l);
+    foreign_rx = &m.counter("iohost.foreign_rx_messages", l);
     heartbeats_sent = &m.counter("iohost.heartbeats_sent", l);
     coalesce_staged = &m.counter("rack.coalesce.staged", l);
     coalesce_runs = &m.counter("rack.coalesce.runs", l);
@@ -93,6 +95,10 @@ IoHypervisor::IoHypervisor(sim::Simulation &sim, std::string name,
                               [this]() { heartbeatTick(); });
     }
     if (cfg.watchdog_period > 0) {
+        wedges_detected = &m.counter("iohost.wedges_detected", l);
+        workers_revived = &m.counter("iohost.workers_revived", l);
+        requests_abandoned = &m.counter("iohost.requests_abandoned", l);
+        devices_starved = &m.counter("iohost.devices_starved", l);
         sim.events().schedule(cfg.watchdog_period,
                               [this]() { watchdogTick(); });
     }
@@ -185,16 +191,35 @@ IoHypervisor::sendDeviceCreate(const transport::DeviceCreateCmd &cmd,
 
 // -- crash / restart ------------------------------------------------------
 
+template <typename More, typename Handle>
+uint64_t
+IoHypervisor::drainRing(net::Nic &nic, More more, Handle handle)
+{
+    std::vector<net::FramePtr> batch = std::exchange(rx_batch, {});
+    uint64_t taken = 0;
+    while (nic.rxPending(0) > 0 && more()) {
+        taken += nic.rxTake(0, cfg.batch_max, batch);
+        handle(batch);
+    }
+    batch.clear();
+    rx_batch = std::move(batch);
+    return taken;
+}
+
+namespace {
+
+bool always() { return true; }
+void discard(std::vector<net::FramePtr> &) {}
+
+} // namespace
+
 void
 IoHypervisor::discardRings()
 {
-    for (net::Nic *nic : client_nics) {
-        while (nic->rxPending(0) > 0)
-            offline_rx_drops->add(nic->rxTake(0, cfg.batch_max).size());
-    }
-    while (external_nic && external_nic->rxPending(0) > 0)
-        offline_rx_drops->add(
-            external_nic->rxTake(0, cfg.batch_max).size());
+    for (net::Nic *nic : client_nics)
+        offline_rx_drops->add(drainRing(*nic, always, discard));
+    if (external_nic)
+        offline_rx_drops->add(drainRing(*external_nic, always, discard));
 }
 
 void
@@ -338,8 +363,7 @@ IoHypervisor::watchdogTick()
 void
 IoHypervisor::declareDeviceStarved(uint32_t device_id)
 {
-    ++devices_starved;
-    statCounter("devices_starved").inc();
+    devices_starved->inc();
     auto &tr = sim().telemetry().tracer;
     if (tr.enabled()) {
         tr.instant(tr_recovery_track, tr_starved, sim().events().now(),
@@ -361,8 +385,7 @@ IoHypervisor::noteDeviceProgress(uint32_t device_id)
 void
 IoHypervisor::declareWorkerWedged(unsigned worker)
 {
-    ++wedges_detected;
-    statCounter("wedges_detected").inc();
+    wedges_detected->inc();
     last_wedge_tick = sim().events().now();
     // Declared after exactly `threshold` consecutive no-progress
     // passes, so this is the time since the worker was last seen
@@ -379,7 +402,7 @@ IoHypervisor::declareWorkerWedged(unsigned worker)
     // Re-steer: devices pinned to the wedged worker forget their
     // in-flight requests (the clients replay them) and pick a healthy
     // worker on their next request.
-    requests_abandoned += steer.quarantine(worker);
+    requests_abandoned->add(steer.quarantine(worker));
     // Without this, the abandoned requests' in-service entries would
     // suppress the very retries that are supposed to recover them.
     dedup.dropWorker(worker);
@@ -408,8 +431,7 @@ void
 IoHypervisor::reviveWorker(unsigned worker)
 {
     probe_outstanding[worker] = false;
-    ++workers_revived;
-    statCounter("workers_revived").inc();
+    workers_revived->inc();
     auto &tr = sim().telemetry().tracer;
     if (tr.enabled()) {
         tr.instant(tr_recovery_track, tr_revive, sim().events().now(),
@@ -482,17 +504,17 @@ IoHypervisor::pumpClientRings()
         return;
     }
     for (size_t i = 0; i < client_nics.size(); ++i) {
-        net::Nic *nic = client_nics[i];
-        while (nic->rxPending(0) > 0 && intakeAllowed()) {
-            auto batch = nic->rxTake(0, cfg.batch_max);
-            polls->inc();
-            pending_batch_cycles += cfg.batch_fixed_cycles;
-            for (const auto &frame : batch) {
-                // Learn which port this client is behind.
-                client_port_of[frame->ether().src] = i;
-                handleWireFrame(frame);
-            }
-        }
+        drainRing(
+            *client_nics[i], [this]() { return intakeAllowed(); },
+            [this, i](std::vector<net::FramePtr> &batch) {
+                polls->inc();
+                pending_batch_cycles += cfg.batch_fixed_cycles;
+                for (const auto &frame : batch) {
+                    // Learn which port this client is behind.
+                    client_port_of[frame->ether().src] = i;
+                    handleWireFrame(frame);
+                }
+            });
     }
 }
 
@@ -536,8 +558,7 @@ IoHypervisor::dispatch(MessageAssembler::Assembled req)
             uint16_t cgen = 0;
             if (repl_->committedLookup(req.hdr.device_id,
                                        req.hdr.request_serial, cgen)) {
-                ++commit_hits;
-                statCounter("repl_commit_hits").inc();
+                commit_hits->inc();
                 auto it = blk_devices.find(req.hdr.device_id);
                 if (it != blk_devices.end()) {
                     TransportHeader resp = req.hdr;
@@ -555,10 +576,8 @@ IoHypervisor::dispatch(MessageAssembler::Assembled req)
         // retransmission of a request still in service must not
         // execute twice.
         if (!dedup.admit(req.hdr.device_id, req.hdr.request_serial,
-                         req.hdr.generation)) {
-            statCounter("duplicates_suppressed").inc();
+                         req.hdr.generation))
             break;
-        }
         // QoS fan-out: the request queues under the fair/deadline
         // discipline instead of dispatching FIFO.  Mirroring happens
         // at pop time so shed requests never enter the replication
@@ -598,7 +617,7 @@ IoHypervisor::dispatch(MessageAssembler::Assembled req)
         if (repl_ && transport::ReplicaSyncMsg::decode(r, msg))
             repl_->onSyncMessage(msg, req.src);
         else
-            statCounter("foreign_rx_messages").inc();
+            foreign_rx->inc();
         break;
       }
       case MsgType::ReplicaAck: {
@@ -607,7 +626,7 @@ IoHypervisor::dispatch(MessageAssembler::Assembled req)
         if (repl_ && transport::ReplicaAckMsg::decode(r, ack))
             repl_->onAckMessage(ack, req.src);
         else
-            statCounter("foreign_rx_messages").inc();
+            foreign_rx->inc();
         break;
       }
       case MsgType::Rehome: {
@@ -621,7 +640,7 @@ IoHypervisor::dispatch(MessageAssembler::Assembled req)
             cmd.phase == transport::RehomeCmd::Phase::Activate) {
             activateWarmState(cmd.device_id, cmd.floor_serial);
         } else {
-            statCounter("foreign_rx_messages").inc();
+            foreign_rx->inc();
         }
         break;
       }
@@ -633,7 +652,7 @@ IoHypervisor::dispatch(MessageAssembler::Assembled req)
         // Client-bound traffic that the switch flooded our way before
         // learning the client's port (e.g. another IOhost's device
         // announcements reaching a peer IOhost): not ours to process.
-        statCounter("foreign_rx_messages").inc();
+        foreign_rx->inc();
         break;
       default:
         vrio_warn("IOhost ignoring unexpected message type ",
@@ -953,6 +972,15 @@ IoHypervisor::setTenant(uint32_t device_id, qos::TenantConfig tc)
     qos_tenants[device_id] = tt;
 }
 
+uint64_t
+IoHypervisor::qosSloViolations() const
+{
+    uint64_t total = 0;
+    for (const auto &[id, tt] : qos_tenants)
+        total += tt.slo_violations->value();
+    return total;
+}
+
 void
 IoHypervisor::qosEnqueue(MessageAssembler::Assembled req)
 {
@@ -1044,10 +1072,8 @@ IoHypervisor::qosRecordLatency(uint32_t device_id, uint64_t serial)
     if (tt != qos_tenants.end()) {
         tt->second.latency_us->record(
             uint64_t(sim::ticksToMicros(waited)));
-        if (tt->second.slo && waited > tt->second.slo) {
+        if (tt->second.slo && waited > tt->second.slo)
             tt->second.slo_violations->inc();
-            ++qos_slo_violations;
-        }
     }
     // The freed slot is the pump's wake-up signal.
     qosPump();
@@ -1301,15 +1327,16 @@ IoHypervisor::enableReplication(const ReplicationConfig &rcfg,
             [this]() { return double(repl_->commitsApplied()); });
     m.probe("repl.held_responses", l,
             [this]() { return double(held_responses.size()); });
+    warm_replays = &m.counter("repl.warm_replays", l);
+    commit_hits = &m.counter("repl.commit_hits", l);
+    rehomes_issued = &m.counter("repl.rehomes_issued", l);
 }
 
 void
 IoHypervisor::replRxNotify()
 {
     if (offline_) {
-        while (repl_nic->rxPending(0) > 0)
-            offline_rx_drops->add(
-                repl_nic->rxTake(0, cfg.batch_max).size());
+        offline_rx_drops->add(drainRing(*repl_nic, always, discard));
         return;
     }
     if (repl_pump_scheduled)
@@ -1326,20 +1353,17 @@ IoHypervisor::pumpReplicationRing()
 {
     vrio_assert(repl_nic, "no replication NIC");
     if (offline_) {
-        while (repl_nic->rxPending(0) > 0)
-            offline_rx_drops->add(
-                repl_nic->rxTake(0, cfg.batch_max).size());
+        offline_rx_drops->add(drainRing(*repl_nic, always, discard));
         return;
     }
     // Pumped without the intake gate: mirror traffic and acks must
     // keep flowing even when request admission is backpressured, or
     // two IOhosts mirroring to each other would deadlock the moment
     // both windows filled.
-    while (repl_nic->rxPending(0) > 0) {
-        auto batch = repl_nic->rxTake(0, cfg.batch_max);
+    drainRing(*repl_nic, always, [this](std::vector<net::FramePtr> &batch) {
         for (const auto &frame : batch)
             handleWireFrame(frame);
-    }
+    });
 }
 
 void
@@ -1482,9 +1506,8 @@ IoHypervisor::activateWarmState(uint32_t device_id,
         // in-service entry; its execution covers this one.
         if (!dedup.seed(device_id, e.serial, e.generation))
             continue;
-        ++warm_replays;
+        warm_replays->inc();
         ++replayed;
-        statCounter("repl_replays").inc();
         TransportHeader hdr;
         hdr.type = MsgType::BlkReq;
         hdr.device_id = device_id;
@@ -1544,8 +1567,7 @@ IoHypervisor::beginRehome(uint32_t device_id, uint16_t target)
 void
 IoHypervisor::issueRehomeCommand(const PendingRehome &r)
 {
-    ++rehomes_issued;
-    statCounter("rehomes_issued").inc();
+    rehomes_issued->inc();
     auto &tr = sim().telemetry().tracer;
     if (tr.enabled()) {
         tr.instant(tr_recovery_track, tr_rehome, sim().events().now(),
@@ -1680,13 +1702,14 @@ IoHypervisor::pumpExternalRings()
         discardRings();
         return;
     }
-    while (external_nic->rxPending(0) > 0 && intakeAllowed()) {
-        auto batch = external_nic->rxTake(0, cfg.batch_max);
-        polls->inc();
-        pending_batch_cycles += cfg.batch_fixed_cycles;
-        for (auto &frame : batch)
-            handleExternalFrame(std::move(frame));
-    }
+    drainRing(
+        *external_nic, [this]() { return intakeAllowed(); },
+        [this](std::vector<net::FramePtr> &batch) {
+            polls->inc();
+            pending_batch_cycles += cfg.batch_fixed_cycles;
+            for (auto &frame : batch)
+                handleExternalFrame(std::move(frame));
+        });
 }
 
 void

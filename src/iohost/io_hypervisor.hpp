@@ -284,11 +284,14 @@ class IoHypervisor : public sim::SimObject
     /** The load digest the next heartbeat would advertise (tests). */
     uint32_t loadDigestPreview() const;
     /** Wedged workers the watchdog detected and quarantined. */
-    uint64_t wedgesDetected() const { return wedges_detected; }
+    uint64_t wedgesDetected() const { return valueOf(wedges_detected); }
     /** Quarantined workers readmitted after the probe completed. */
-    uint64_t workersRevived() const { return workers_revived; }
+    uint64_t workersRevived() const { return valueOf(workers_revived); }
     /** In-flight requests abandoned to client replay by quarantines. */
-    uint64_t requestsAbandoned() const { return requests_abandoned; }
+    uint64_t requestsAbandoned() const
+    {
+        return valueOf(requests_abandoned);
+    }
     /** Duplicate block requests suppressed (Section 4.5 server side). */
     uint64_t duplicatesSuppressed() const { return dedup.suppressed(); }
     sim::Tick lastWedgeDetectTick() const { return last_wedge_tick; }
@@ -298,13 +301,13 @@ class IoHypervisor : public sim::SimObject
      * Devices the per-queue watchdog declared starved (in-service
      * entries but no completions while the workers stayed healthy).
      */
-    uint64_t devicesStarved() const { return devices_starved; }
+    uint64_t devicesStarved() const { return valueOf(devices_starved); }
     /** Warm in-service entries replayed after a failover activation. */
-    uint64_t warmReplays() const { return warm_replays; }
+    uint64_t warmReplays() const { return valueOf(warm_replays); }
     /** Retries acknowledged straight from the warm committed table. */
-    uint64_t commitHits() const { return commit_hits; }
+    uint64_t commitHits() const { return valueOf(commit_hits); }
     /** Live re-home handoffs this host has commanded. */
-    uint64_t rehomesIssued() const { return rehomes_issued; }
+    uint64_t rehomesIssued() const { return valueOf(rehomes_issued); }
     /** Responses currently held awaiting a peer commit ack. */
     size_t heldResponses() const { return held_responses.size(); }
 
@@ -334,8 +337,8 @@ class IoHypervisor : public sim::SimObject
     }
     /** Requests currently queued in the scheduler. */
     size_t qosQueued() const { return qsched_ ? qsched_->queued() : 0; }
-    /** SLO violations observed at response time. */
-    uint64_t qosSloViolations() const { return qos_slo_violations; }
+    /** SLO violations observed at response time (all tenants). */
+    uint64_t qosSloViolations() const;
 
   private:
     IoHypervisorConfig cfg;
@@ -381,6 +384,8 @@ class IoHypervisor : public sim::SimObject
     telemetry::Counter *offline_rx_drops;
     telemetry::Counter *offline_tx_drops;
     telemetry::Counter *polls;
+    /** Client-bound or unsolicited control traffic flooded our way. */
+    telemetry::Counter *foreign_rx;
     /** Worker backlog depth observed at each dispatch. */
     telemetry::LogHistogram *inflight_at_dispatch;
     /** Per-worker dispatch counts and first-stage service time (ns). */
@@ -420,9 +425,11 @@ class IoHypervisor : public sim::SimObject
     uint64_t hb_seq = 0;
     uint32_t incarnation_ = 0;
     telemetry::Counter *heartbeats_sent;
-    uint64_t wedges_detected = 0;
-    uint64_t workers_revived = 0;
-    uint64_t requests_abandoned = 0;
+    // Watchdog series, registered only when cfg.watchdog_period > 0.
+    telemetry::Counter *wedges_detected = nullptr;
+    telemetry::Counter *workers_revived = nullptr;
+    telemetry::Counter *requests_abandoned = nullptr;
+    telemetry::Counter *devices_starved = nullptr;
     sim::Tick last_wedge_tick = 0;
     sim::Tick last_wedge_latency = 0;
 
@@ -441,7 +448,6 @@ class IoHypervisor : public sim::SimObject
         unsigned stuck = 0;
     };
     std::map<uint32_t, DeviceProgress> device_progress;
-    uint64_t devices_starved = 0;
 
     // -- warm-state replication (DESIGN.md §16) -----------------------
     net::Nic *repl_nic = nullptr;
@@ -467,9 +473,10 @@ class IoHypervisor : public sim::SimObject
         uint64_t barrier = 0;
     };
     std::vector<PendingRehome> pending_rehomes;
-    uint64_t warm_replays = 0;
-    uint64_t commit_hits = 0;
-    uint64_t rehomes_issued = 0;
+    // Replication series, registered by enableReplication().
+    telemetry::Counter *warm_replays = nullptr;
+    telemetry::Counter *commit_hits = nullptr;
+    telemetry::Counter *rehomes_issued = nullptr;
 
     // -- multi-tenant QoS scheduling (cfg.qos) ------------------------
     /** The policy object; null when QoS is off. */
@@ -500,7 +507,6 @@ class IoHypervisor : public sim::SimObject
     telemetry::Counter *qos_shed_ctr = nullptr;
     telemetry::Counter *qos_defer_ctr = nullptr;
     telemetry::Counter *qos_promote_ctr = nullptr;
-    uint64_t qos_slo_violations = 0;
     /** Admission verdict + queue for one block request. */
     void qosEnqueue(transport::MessageAssembler::Assembled req);
     /** Dispatch scheduler picks while end-to-end slots are free. */
@@ -532,6 +538,20 @@ class IoHypervisor : public sim::SimObject
     /** residency_ns sum/count at the last heartbeat (digest deltas). */
     uint64_t hb_resid_sum = 0;
     uint64_t hb_resid_count = 0;
+
+    /**
+     * Frames taken off an RX ring, reused so that taking a batch does
+     * not allocate.  Pumps nest (an ack read off one ring can reopen
+     * intake and pump another), so drainRing() holds the buffer for
+     * its whole loop and a nested drain starts a fresh one.
+     */
+    std::vector<net::FramePtr> rx_batch;
+    /**
+     * Take batches off @p nic's ring while it has frames and @p more()
+     * holds, handing each batch to @p handle.  @return frames taken.
+     */
+    template <typename More, typename Handle>
+    uint64_t drainRing(net::Nic &nic, More more, Handle handle);
 
     /** Drain and discard every RX ring (crash semantics). */
     void discardRings();
@@ -609,6 +629,13 @@ class IoHypervisor : public sim::SimObject
     void externalRxNotify();
     void pumpExternalRings();
     void handleExternalFrame(net::FramePtr frame);
+
+    /** A feature-gated series' value; 0 when the feature is off. */
+    static uint64_t
+    valueOf(const telemetry::Counter *c)
+    {
+        return c ? c->value() : 0;
+    }
 
     double interposeCycles(interpose::Chain *chain, size_t bytes) const;
     double disturbanceCycles();

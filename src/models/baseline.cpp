@@ -469,8 +469,8 @@ void
 BaselineModel::nicRxInterrupt(unsigned host)
 {
     // Physical interrupt handled by the host kernel on the I/O core.
-    auto frames = hosts[host].nic->rxTake(0, 64);
-    if (frames.empty())
+    std::vector<net::FramePtr> &frames = hosts[host].rx_batch;
+    if (hosts[host].nic->rxTake(0, 64, frames) == 0)
         return;
     // Charge the IRQ once (moderated); attribute it to the first
     // destination VM for Table-3 accounting.
@@ -484,6 +484,7 @@ BaselineModel::nicRxInterrupt(unsigned host)
         if (Endpoint *ep = endpointByMac(host, eh.dst))
             ep->hostDeliver(frame);
     }
+    frames.clear();
 }
 
 GuestEndpoint &

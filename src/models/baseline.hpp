@@ -38,6 +38,8 @@ class BaselineModel : public IoModel
         std::unique_ptr<net::Nic> nic;
         unsigned io_core = 0; ///< index of the shared vhost core
         std::vector<Endpoint *> vms; ///< endpoints on this host
+        /** Frames taken per NIC interrupt (reused, not reallocated). */
+        std::vector<net::FramePtr> rx_batch;
     };
 
     std::vector<Host> hosts;

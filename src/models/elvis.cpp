@@ -468,8 +468,8 @@ ElvisModel::pumpSidecore(unsigned host, unsigned s)
 void
 ElvisModel::nicRxInterrupt(unsigned host, unsigned queue)
 {
-    auto frames = hosts[host].nic->rxTake(queue, 64);
-    if (frames.empty())
+    std::vector<net::FramePtr> &frames = hosts[host].rx_batch;
+    if (hosts[host].nic->rxTake(queue, 64, frames) == 0)
         return;
     // The physical RX interrupt lands on the sidecore owning the
     // queue.  The per-interrupt entry cost amortizes when moderation
@@ -486,6 +486,7 @@ ElvisModel::nicRxInterrupt(unsigned host, unsigned queue)
             ep->sidecoreDeliver(frame);
         }
     }
+    frames.clear();
 }
 
 ElvisModel::Endpoint *

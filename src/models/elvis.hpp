@@ -47,6 +47,8 @@ class ElvisModel : public IoModel
         unsigned first_sidecore = 0;
         unsigned num_sidecores = 1;
         std::vector<Endpoint *> vms;
+        /** Frames taken per NIC interrupt (reused, not reallocated). */
+        std::vector<net::FramePtr> rx_batch;
         /**
          * VMs with unpolled TX work, per sidecore slot, keyed by VM
          * index.  Keyed (rather than a set of pointers) so that drain

@@ -90,12 +90,14 @@ Generator::rxInterrupt(unsigned queue)
 {
     // IRQ work happens on core 0 (the designated interrupt core);
     // the per-op receive processing then runs on the session core.
-    auto frames = nic_->rxTake(queue, 64);
-    if (frames.empty() || queue >= sessions.size())
+    if (nic_->rxTake(queue, 64, rx_batch) == 0 ||
+        queue >= sessions.size()) {
+        rx_batch.clear();
         return;
+    }
     Session &s = sessions[queue];
     machine->core(0).run(1500, []() {});
-    for (auto &frame : frames) {
+    for (auto &frame : rx_batch) {
         net::EtherHeader eh = frame->ether();
         Bytes payload(frame->bytes.begin() + net::kEtherHeaderSize,
                       frame->bytes.end());
@@ -107,6 +109,7 @@ Generator::rxInterrupt(unsigned queue)
                     s.handler(std::move(payload), src, pad);
             });
     }
+    rx_batch.clear();
 }
 
 } // namespace vrio::models

@@ -65,6 +65,8 @@ class Generator : public sim::SimObject
     std::unique_ptr<hv::Machine> machine;
     std::unique_ptr<net::Nic> nic_;
     std::vector<Session> sessions;
+    /** Frames taken per interrupt (reused: no allocation per IRQ). */
+    std::vector<net::FramePtr> rx_batch;
 
     double opCycles(const Session &s) const;
     void rxInterrupt(unsigned queue);

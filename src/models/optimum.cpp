@@ -65,6 +65,8 @@ class OptimumModel::Endpoint : public GuestEndpoint
     net::MacAddress f_mac;
     hv::Vm vm_;
     NetHandler handler;
+    /** Frames taken per interrupt (reused: no allocation per IRQ). */
+    std::vector<net::FramePtr> rx_batch;
 
     void
     rxInterrupt(unsigned q)
@@ -72,9 +74,9 @@ class OptimumModel::Endpoint : public GuestEndpoint
         const CostParams &c = model.config().costs;
         // One (possibly coalesced) ELI interrupt.
         vm_.events().record(hv::IoEvent::GuestInterrupt);
-        auto frames = nic.rxTake(q, 64);
+        nic.rxTake(q, 64, rx_batch);
         vm_.vcpu().run(c.guest_irq, []() {});
-        for (auto &frame : frames) {
+        for (auto &frame : rx_batch) {
             net::EtherHeader eh = frame->ether();
             Bytes payload(frame->bytes.begin() + net::kEtherHeaderSize,
                           frame->bytes.end());
@@ -90,6 +92,7 @@ class OptimumModel::Endpoint : public GuestEndpoint
                                    handler(std::move(payload), src, pad);
                            });
         }
+        rx_batch.clear();
     }
 };
 

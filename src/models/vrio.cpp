@@ -66,6 +66,7 @@ class VrioModel::Client : public GuestEndpoint
                 [this]() { return double(rtq.staleResponses()); });
         m.probe("transport.reasm.checksum_drops", vl,
                 [this]() { return double(reasm.checksumDrops()); });
+        dev_creates = &counter("client.dev_creates");
     }
 
     /**
@@ -95,6 +96,7 @@ class VrioModel::Client : public GuestEndpoint
     attachRemoteDisk(uint64_t capacity_sectors)
     {
         blk_capacity = capacity_sectors;
+        blk_failures = &counter("client.block_timeouts");
         sched = std::make_unique<block::DiskScheduler>(
             [this](block::BlockRequest req, block::BlockCallback done) {
                 dispatchBlock(std::move(req), std::move(done));
@@ -157,23 +159,6 @@ class VrioModel::Client : public GuestEndpoint
         sched->submit(std::move(req), std::move(done));
     }
 
-    // -- protocol statistics -------------------------------------------
-    uint64_t retransmissions() const { return rtq.retransmissions(); }
-    uint64_t staleResponses() const { return rtq.staleResponses(); }
-    uint64_t devCreates() const { return dev_creates; }
-    uint64_t blockFailures() const { return blk_failures; }
-    uint64_t heartbeatsSeen() const { return beats_seen; }
-    uint64_t heartbeatLapses() const { return hb_lapses; }
-    uint64_t failoversDone() const { return failovers; }
-    uint64_t resteersDone() const { return resteers_; }
-    sim::Tick lapseTick() const { return lapse_tick; }
-    /** Block requests submitted and not yet completed or failed. */
-    uint64_t pendingBlocks() const { return pending.size(); }
-    uint64_t rehomesDone() const { return rehomes_; }
-    uint64_t pathSuspicions() const { return path_suspicions_; }
-    sim::Tick lastBlackout() const { return last_blackout_; }
-    uint64_t failbacksDone() const { return failbacks_; }
-
   private:
     friend class VrioModel;
 
@@ -190,6 +175,8 @@ class VrioModel::Client : public GuestEndpoint
     transport::Reassembler reasm;
     transport::MessageAssembler assembler;
     transport::RetransmitQueue rtq;
+    /** Frames taken per VF interrupt (reused: no allocation per IRQ). */
+    std::vector<net::FramePtr> rx_batch;
 
     struct PendingBlock
     {
@@ -202,8 +189,9 @@ class VrioModel::Client : public GuestEndpoint
 
     uint64_t next_serial = 1;
     uint32_t next_wire_id = 1;
-    uint64_t dev_creates = 0;
-    uint64_t blk_failures = 0;
+    telemetry::Counter *dev_creates = nullptr;
+    /** Requests failed with BlkStatus::Timeout (a disk is attached). */
+    telemetry::Counter *blk_failures = nullptr;
     /** Local-hypervisor I/O core for the T_virtio channel (null =
      *  T_sriov, the default). */
     hv::Core *io_core = nullptr;
@@ -212,9 +200,11 @@ class VrioModel::Client : public GuestEndpoint
     /** Beat-to-beat patience; 0 = monitoring off. */
     sim::Tick hb_lapse_window = 0;
     sim::EventHandle hb_timer;
-    uint64_t beats_seen = 0;
-    uint64_t hb_lapses = 0;
-    uint64_t failovers = 0;
+    // Heartbeat series, registered with the lapse window.
+    telemetry::Counter *beats_seen = nullptr;
+    telemetry::Counter *hb_lapses = nullptr;
+    telemetry::Counter *failovers = nullptr;
+    telemetry::Counter *path_suspicions = nullptr;
     uint32_t last_incarnation = 0;
     /** Tick of the most recent lapse declaration. */
     sim::Tick lapse_tick = 0;
@@ -242,21 +232,19 @@ class VrioModel::Client : public GuestEndpoint
     /** Minimum dwell between voluntary moves (0 = re-steering off). */
     sim::Tick resteer_dwell = 0;
     sim::Tick last_move = 0;
-    uint64_t resteers_ = 0;
+    /** Placement moves; a rack series (the classic wiring has none). */
+    telemetry::Counter *resteers = nullptr;
     /** Boot-time home, the fail-back target (rack.failback). */
     unsigned boot_home = 0;
-    bool failback_ = false;
-    uint64_t failbacks_ = 0;
-    telemetry::Counter *resteer_counter = nullptr;
+    /** Fail-back moves; registered only with rack.failback. */
+    telemetry::Counter *failbacks = nullptr;
     uint16_t tg_resteer = 0;
 
     // -- warm-state replication (cfg.rack.replication) -----------------
     /** The rack runs the DESIGN.md §16 mirror ring. */
     bool rack_repl_ = false;
-    /** Rehome commands accepted (planned live flips). */
-    uint64_t rehomes_ = 0;
-    /** Lapses classified PathSuspect (failover suppressed). */
-    uint64_t path_suspicions_ = 0;
+    /** Rehome commands accepted; registered only with replication. */
+    telemetry::Counter *rehomes = nullptr;
     /** Flip-to-first-accepted-response of the latest move. */
     sim::Tick last_blackout_ = 0;
     sim::Tick blackout_start = 0;
@@ -266,6 +254,14 @@ class VrioModel::Client : public GuestEndpoint
 
     /** Client-channel MAC of the IOhost this client is homed on. */
     net::MacAddress homeMac() const { return rack_macs[rack_home]; }
+
+    /** This client's {vm} series @p name (resolved at setup only). */
+    telemetry::Counter &
+    counter(const char *name)
+    {
+        return vm_.sim().telemetry().metrics.counter(
+            name, telemetry::Labels{{"vm", vm_.name()}});
+    }
 
     bool tvirtio() const { return io_core != nullptr; }
 
@@ -300,16 +296,14 @@ class VrioModel::Client : public GuestEndpoint
         sim::Tick now = vm_.sim().events().now();
         last_move = now;
         rack_home = k;
-        ++resteers_;
-        if (resteer_counter)
-            resteer_counter->inc();
+        resteers->inc();
         auto &tr = vm_.sim().telemetry().tracer;
         if (tr.enabled()) {
             tr.instant(tg_recovery_track, tg_resteer, now,
                        telemetry::cat::kRecovery, vm_index);
         }
         if (failover) {
-            ++failovers;
+            failovers->inc();
             vm_.events().record(hv::IoEvent::Failover);
             if (tr.enabled()) {
                 tr.instant(tg_recovery_track, tg_failover, now,
@@ -374,7 +368,7 @@ class VrioModel::Client : public GuestEndpoint
         // placement decision, don't bounce back.
         if (msg.src != rack_macs[rack_home])
             return;
-        ++rehomes_;
+        rehomes->inc();
         auto &tr = vm_.sim().telemetry().tracer;
         if (tr.enabled()) {
             tr.instant(tg_recovery_track, tg_rehome,
@@ -412,7 +406,7 @@ class VrioModel::Client : public GuestEndpoint
     void
     heartbeatLapse()
     {
-        ++hb_lapses;
+        hb_lapses->inc();
         lapse_tick = vm_.sim().events().now();
         auto &tr = vm_.sim().telemetry().tracer;
         if (tr.enabled()) {
@@ -429,7 +423,7 @@ class VrioModel::Client : public GuestEndpoint
                                                    lapse_tick,
                                                    hb_lapse_window) ==
             iohost::PlacementPolicy::LapseVerdict::PathSuspect) {
-            ++path_suspicions_;
+            path_suspicions->inc();
             if (tr.enabled()) {
                 tr.instant(tg_recovery_track, tg_path_suspect, lapse_tick,
                            telemetry::cat::kRecovery, vm_index);
@@ -464,12 +458,12 @@ class VrioModel::Client : public GuestEndpoint
             if (beat.has_load)
                 rack_loads[k].load_ns = beat.load_ns;
             if (k == rack_home) {
-                ++beats_seen;
+                beats_seen->inc();
                 last_incarnation = beat.incarnation;
                 if (hb_lapse_window > 0)
                     armHeartbeatMonitor();
                 maybeResteer();
-            } else if (failback_ && k == boot_home &&
+            } else if (failbacks && k == boot_home &&
                        vm_.sim().events().now() - last_move >=
                            resteer_dwell) {
                 // The boot home is beating again after this client
@@ -477,7 +471,7 @@ class VrioModel::Client : public GuestEndpoint
                 // Dwell-gated fail-back: once the revived host proves
                 // liveness, move back and rebalance the rack instead
                 // of stranding every refugee VM on the survivor.
-                ++failbacks_;
+                failbacks->inc();
                 moveTo(boot_home, /*failover=*/false);
             }
             return;
@@ -568,7 +562,7 @@ class VrioModel::Client : public GuestEndpoint
             return;
         auto done = std::move(it->second.done);
         pending.erase(it);
-        ++blk_failures;
+        blk_failures->inc();
         vm_.events().record(hv::IoEvent::RequestTimeout);
         done(virtio::BlkStatus::Timeout, {});
     }
@@ -581,7 +575,7 @@ class VrioModel::Client : public GuestEndpoint
     vfInterrupt(unsigned q)
     {
         const CostParams &c = model.config().costs;
-        auto frames = host_nic->rxTake(q, 64);
+        host_nic->rxTake(q, 64, rx_batch);
         if (tvirtio()) {
             vm_.events().record(hv::IoEvent::HostInterrupt);
             vm_.events().record(hv::IoEvent::Injection);
@@ -593,7 +587,7 @@ class VrioModel::Client : public GuestEndpoint
             vm_.events().record(hv::IoEvent::GuestInterrupt);
             vm_.vcpu().run(c.guest_irq, []() {});
         }
-        for (const auto &frame : frames) {
+        for (const auto &frame : rx_batch) {
             auto msg = reasm.feed(*frame);
             if (!msg)
                 continue;
@@ -602,6 +596,7 @@ class VrioModel::Client : public GuestEndpoint
                 continue;
             handleMessage(std::move(*assembled));
         }
+        rx_batch.clear();
     }
 
     void
@@ -699,7 +694,7 @@ class VrioModel::Client : public GuestEndpoint
         ByteReader r(msg.payload);
         if (!transport::DeviceCreateCmd::decode(r, cmd))
             return;
-        ++dev_creates;
+        dev_creates->inc();
 
         transport::DeviceAck ack;
         ack.device_id = cmd.device_id;
@@ -999,7 +994,6 @@ VrioModel::VrioModel(Rack &rack, ModelConfig cfg) : IoModel(rack, cfg)
     for (auto &io : rio)
         if (io.cnic)
             rack_macs.push_back(io.cnic->queueMac(0));
-    auto &m = sim.telemetry().metrics;
 
     for (unsigned v = 0; v < cfg.num_vms; ++v) {
         unsigned h = v % cfg.num_vmhosts;
@@ -1029,17 +1023,18 @@ VrioModel::VrioModel(Rack &rack, ModelConfig cfg) : IoModel(rack, cfg)
                 std::move(homes), home, kind, io_core,
                 strFormat("vrio.vm%u", v));
         }
-        client->failback_ = cfg.rack.failback;
         client->rack_repl_ = cfg.rack.replication;
         client->place_cfg.imbalance_ratio = cfg.rack.resteer_ratio;
         client->resteer_dwell = cfg.rack.resteer_dwell;
-        if (!classic) {
-            // Moves between IOhosts are a rack metric; the classic
-            // registry carries no series for them.
-            client->resteer_counter = &m.counter(
-                "rack.resteers",
-                telemetry::Labels{{"vm", strFormat("vrio.vm%u", v)}});
-        }
+        // Each series exists only where its feature can bump it: moves
+        // between IOhosts are a rack metric, so the classic registry
+        // carries no series for them.
+        if (!classic)
+            client->resteers = &client->counter("rack.resteers");
+        if (cfg.rack.failback)
+            client->failbacks = &client->counter("rack.failbacks");
+        if (cfg.rack.replication)
+            client->rehomes = &client->counter("rack.rehomes");
 
         interpose::Chain *net_chain = nullptr;
         interpose::Chain *blk_chain = nullptr;
@@ -1121,6 +1116,11 @@ VrioModel::VrioModel(Rack &rack, ModelConfig cfg) : IoModel(rack, cfg)
                            cfg.recovery.heartbeat_period;
         for (auto &client : clients) {
             client->hb_lapse_window = window;
+            client->beats_seen = &client->counter("client.heartbeats_seen");
+            client->hb_lapses = &client->counter("client.heartbeat_lapses");
+            client->failovers = &client->counter("client.failovers");
+            client->path_suspicions =
+                &client->counter("rack.path_suspicions");
             // The lapse timer must fire on the client's own shard.
             sim::ShardScope client_scope(sim,
                                          vm_shard(client->host_index));
@@ -1291,12 +1291,6 @@ VrioModel::rackIoHostMac(unsigned k) const
     return rio[k].cnic->queueMac(0);
 }
 
-uint64_t
-VrioModel::clientResteers(unsigned vm_index) const
-{
-    return clients.at(vm_index)->resteersDone();
-}
-
 unsigned
 VrioModel::clientHomeIoHost(unsigned vm_index) const
 {
@@ -1312,58 +1306,16 @@ VrioModel::iohostInterrupts() const
     return total;
 }
 
-uint64_t
-VrioModel::clientRetransmissions(unsigned vm_index) const
-{
-    return clients.at(vm_index)->retransmissions();
-}
-
-uint64_t
-VrioModel::clientStaleResponses(unsigned vm_index) const
-{
-    return clients.at(vm_index)->staleResponses();
-}
-
-uint64_t
-VrioModel::clientDevCreates(unsigned vm_index) const
-{
-    return clients.at(vm_index)->devCreates();
-}
-
-uint64_t
-VrioModel::clientHeartbeatsSeen(unsigned vm_index) const
-{
-    return clients.at(vm_index)->heartbeatsSeen();
-}
-
-uint64_t
-VrioModel::clientHeartbeatLapses(unsigned vm_index) const
-{
-    return clients.at(vm_index)->heartbeatLapses();
-}
-
-uint64_t
-VrioModel::clientFailovers(unsigned vm_index) const
-{
-    return clients.at(vm_index)->failoversDone();
-}
-
 sim::Tick
 VrioModel::clientLapseTick(unsigned vm_index) const
 {
-    return clients.at(vm_index)->lapseTick();
+    return clients.at(vm_index)->lapse_tick;
 }
 
 uint64_t
 VrioModel::clientPendingBlocks(unsigned vm_index) const
 {
-    return clients.at(vm_index)->pendingBlocks();
-}
-
-uint64_t
-VrioModel::clientBlockTimeouts(unsigned vm_index) const
-{
-    return clients.at(vm_index)->blockFailures();
+    return clients.at(vm_index)->pending.size();
 }
 
 void
@@ -1391,28 +1343,10 @@ VrioModel::scheduleRehome(unsigned vm_index, unsigned target,
     });
 }
 
-uint64_t
-VrioModel::clientRehomes(unsigned vm_index) const
-{
-    return clients.at(vm_index)->rehomesDone();
-}
-
 sim::Tick
 VrioModel::clientLastBlackout(unsigned vm_index) const
 {
-    return clients.at(vm_index)->lastBlackout();
-}
-
-uint64_t
-VrioModel::clientPathSuspicions(unsigned vm_index) const
-{
-    return clients.at(vm_index)->pathSuspicions();
-}
-
-uint64_t
-VrioModel::clientFailbacks(unsigned vm_index) const
-{
-    return clients.at(vm_index)->failbacksDone();
+    return clients.at(vm_index)->last_blackout_;
 }
 
 } // namespace vrio::models

@@ -43,8 +43,6 @@ class VrioModel : public IoModel
     }
     /** Client-channel MAC of rack IOhost @p k (rack wiring only). */
     net::MacAddress rackIoHostMac(unsigned k) const;
-    /** Placement moves (voluntary re-steers + failovers) of a client. */
-    uint64_t clientResteers(unsigned vm_index) const;
     /** The rack IOhost a client is currently homed on. */
     unsigned clientHomeIoHost(unsigned vm_index) const;
 
@@ -83,21 +81,20 @@ class VrioModel : public IoModel
     /** The VMhost currently hosting a client. */
     unsigned clientHost(unsigned vm_index) const;
 
-    /** Per-client protocol statistics (for tests and benches). */
-    uint64_t clientRetransmissions(unsigned vm_index) const;
-    uint64_t clientStaleResponses(unsigned vm_index) const;
-    uint64_t clientDevCreates(unsigned vm_index) const;
+    /*
+     * Per-client counts are telemetry series labelled {vm=vrio.vm<i>}
+     * (DESIGN.md §12): client.dev_creates, client.block_timeouts,
+     * client.heartbeats_seen, client.heartbeat_lapses,
+     * client.failovers, rack.resteers, rack.failbacks, rack.rehomes,
+     * rack.path_suspicions, and the transport.rtq.* probes.  Read one
+     * with MetricsRegistry::count().
+     */
 
     // -- failure detection / recovery (cfg.recovery) ------------------
-    uint64_t clientHeartbeatsSeen(unsigned vm_index) const;
-    uint64_t clientHeartbeatLapses(unsigned vm_index) const;
-    uint64_t clientFailovers(unsigned vm_index) const;
     /** Tick of the client's most recent heartbeat-lapse declaration. */
     sim::Tick clientLapseTick(unsigned vm_index) const;
     /** Block requests submitted and not yet completed or failed. */
     uint64_t clientPendingBlocks(unsigned vm_index) const;
-    /** Requests failed with BlkStatus::Timeout (retry cap). */
-    uint64_t clientBlockTimeouts(unsigned vm_index) const;
 
     // -- warm-state replication / live re-homing (cfg.rack.replication)
     /**
@@ -109,18 +106,12 @@ class VrioModel : public IoModel
      * Requires rack mode with replication on.
      */
     void scheduleRehome(unsigned vm_index, unsigned target, sim::Tick at);
-    /** Rehome commands accepted by a client (planned flips). */
-    uint64_t clientRehomes(unsigned vm_index) const;
     /**
      * Duration of the client's most recent placement-move blackout:
      * flip tick to first accepted response at the new home (0 until a
      * first move completes).
      */
     sim::Tick clientLastBlackout(unsigned vm_index) const;
-    /** Lapses suppressed as PathSuspect (no failover issued). */
-    uint64_t clientPathSuspicions(unsigned vm_index) const;
-    /** Fail-back moves to the revived boot home (rack.failback). */
-    uint64_t clientFailbacks(unsigned vm_index) const;
 
   protected:
     const hv::Vm &vmAt(unsigned vm_index) const override;

@@ -70,17 +70,17 @@ Nic::rxPending(unsigned queue) const
     return queues[queue].rx.size();
 }
 
-std::vector<FramePtr>
-Nic::rxTake(unsigned queue, size_t max)
+size_t
+Nic::rxTake(unsigned queue, size_t max, std::vector<FramePtr> &batch)
 {
     vrio_assert(queue < queues.size(), "bad queue ", queue);
     auto &q = queues[queue];
-    std::vector<FramePtr> out;
-    while (!q.rx.empty() && out.size() < max) {
-        out.push_back(std::move(q.rx.front()));
+    batch.clear();
+    while (!q.rx.empty() && batch.size() < max) {
+        batch.push_back(std::move(q.rx.front()));
         q.rx.pop_front();
     }
-    return out;
+    return batch.size();
 }
 
 void

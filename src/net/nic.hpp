@@ -94,8 +94,13 @@ class Nic : public sim::SimObject, public NetPort
     /** Frames waiting in a queue's RX ring. */
     size_t rxPending(unsigned queue) const;
 
-    /** Take up to @p max frames from a queue's RX ring. */
-    std::vector<FramePtr> rxTake(unsigned queue, size_t max);
+    /**
+     * Move up to @p max frames from a queue's RX ring into @p batch,
+     * which is cleared first but keeps its capacity, so a caller that
+     * reuses one buffer takes frames without allocating.
+     * @return the number of frames taken.
+     */
+    size_t rxTake(unsigned queue, size_t max, std::vector<FramePtr> &batch);
 
     /**
      * Temporarily cap the usable RX ring below its configured size

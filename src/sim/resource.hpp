@@ -16,7 +16,6 @@
 #include <string>
 
 #include "sim/event_queue.hpp"
-#include "stats/counters.hpp"
 #include "stats/histogram.hpp"
 #include "stats/time_series.hpp"
 

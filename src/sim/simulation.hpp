@@ -30,7 +30,6 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
-#include "stats/registry.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vrio::sim {
@@ -101,7 +100,6 @@ class Simulation
         return t.sim == this ? *t.rng : shards_[0]->rng;
     }
 
-    stats::Registry &stats() { return registry; }
     telemetry::Hub &telemetry() { return telem; }
     const telemetry::Hub &telemetry() const { return telem; }
 
@@ -198,7 +196,6 @@ class Simulation
     Tick lookahead_ = 0;
     bool in_region_ = false;
 
-    stats::Registry registry;
     telemetry::Hub telem;
 
     // -- worker pool (lazy; only ever populated when threads_ > 1) ----
@@ -242,7 +239,7 @@ class ShardScope
 /**
  * Base for named objects that live inside a simulation (machines,
  * NICs, devices, workers).  Holds the back-reference and a dotted
- * instance name used as the stats prefix.
+ * instance name used as the label of its telemetry series.
  */
 class SimObject
 {
@@ -261,18 +258,6 @@ class SimObject
 
     /** Shard this object was constructed under (0 when unsharded). */
     uint32_t homeShard() const { return home_shard_; }
-
-  protected:
-    stats::Counter &
-    statCounter(const std::string &leaf) const
-    {
-        return sim_.stats().counter(name_ + "." + leaf);
-    }
-    stats::Histogram &
-    statHistogram(const std::string &leaf) const
-    {
-        return sim_.stats().histogram(name_ + "." + leaf);
-    }
 
   private:
     Simulation &sim_;

@@ -163,4 +163,18 @@ MetricsRegistry::find(std::string_view name, Labels labels) const
     return it == series_.end() ? nullptr : it->second.get();
 }
 
+uint64_t
+MetricsRegistry::count(std::string_view name, Labels labels) const
+{
+    const Series *s = find(name, labels);
+    if (!s)
+        vrio_panic("no telemetry series ", seriesKey(name, labels));
+    if (s->kind == Kind::CounterK)
+        return s->counter.value();
+    vrio_assert(s->kind == Kind::ProbeK && s->sampler,
+                "telemetry series is not a counter or probe: ",
+                seriesKey(name, labels));
+    return uint64_t(s->sampler());
+}
+
 } // namespace vrio::telemetry

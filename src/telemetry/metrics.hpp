@@ -302,6 +302,14 @@ class MetricsRegistry
     const Series *find(std::string_view name, Labels labels = {}) const;
 
     /**
+     * Value of the one counter or probe series with exactly this
+     * identity.  Panics when no such series exists (or it is another
+     * kind), so a misspelt name or a series that was never registered
+     * fails loudly instead of reading 0.
+     */
+    uint64_t count(std::string_view name, Labels labels = {}) const;
+
+    /**
      * Stripe every counter/histogram series — existing and future —
      * for @p shards concurrent writers (see Counter::stripe).  Called
      * once by the sharded simulator before any shard thread runs;

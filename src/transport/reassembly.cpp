@@ -156,15 +156,15 @@ Reassembler::tryComplete(PartialMap::iterator it)
     Partial &p = it->second;
     if (!p.expected_total || p.bytes_received < *p.expected_total)
         return std::nullopt;
-    vrio_assert(p.bytes_received == *p.expected_total,
-                "reassembly overshoot: ", p.bytes_received, " > ",
-                *p.expected_total);
 
     // End-to-end integrity: FCS-passing corruption (a bit flip inside
     // a buffer rather than on the wire) surfaces only here, once the
-    // whole message is back together.  Drop it; the sender's
-    // retransmission machinery recovers.
-    if (!verifyMessage(p.head, p.payload)) {
+    // whole message is back together.  So does a header whose
+    // total_len is shorter than the bytes its segments carry (garbled
+    // or hostile).  Drop either; the sender's retransmission
+    // machinery recovers.
+    if (p.bytes_received != *p.expected_total ||
+        !verifyMessage(p.head, p.payload)) {
         drop(it);
         ++checksum_drops;
         return std::nullopt;

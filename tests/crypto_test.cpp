@@ -1,6 +1,6 @@
 /**
  * @file
- * Crypto tests: FIPS-197 and CTR known-answer vectors, mode round
+ * Crypto tests: FIPS-197 and CTR known-answer vectors, CTR round
  * trips, padding validation, and each CTR keystream path against a
  * block-by-block reference (AesCtrProperty, label `property`).
  */
@@ -13,7 +13,6 @@
 #include "crypto/aes_impl.hpp"
 #include "crypto/modes.hpp"
 #include "sim/random.hpp"
-#include "util/hexdump.hpp"
 
 namespace vrio::crypto {
 namespace {
@@ -24,6 +23,18 @@ fromHex(const std::string &hex)
     Bytes out;
     for (size_t i = 0; i + 1 < hex.size(); i += 2)
         out.push_back(uint8_t(std::stoi(hex.substr(i, 2), nullptr, 16)));
+    return out;
+}
+
+std::string
+toHex(std::span<const uint8_t> data)
+{
+    static const char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (uint8_t b : data) {
+        out += kDigits[b >> 4];
+        out += kDigits[b & 0xf];
+    }
     return out;
 }
 
@@ -53,16 +64,6 @@ TEST_P(AesKat, EncryptMatchesFips197)
     Aes aes(key);
     aes.encryptBlock(block.data());
     EXPECT_EQ(toHex(block), v.cipher);
-}
-
-TEST_P(AesKat, DecryptInverts)
-{
-    const auto &v = GetParam();
-    Bytes key = fromHex(v.key);
-    Bytes block = fromHex(v.cipher);
-    Aes aes(key);
-    aes.decryptBlock(block.data());
-    EXPECT_EQ(toHex(block), v.plain);
 }
 
 // Appendix C of FIPS-197: key sizes 128/192/256 on the same plaintext.
@@ -121,69 +122,6 @@ TEST(Pkcs7, RejectsMalformedPadding)
     EXPECT_FALSE(pkcs7Unpad(bad2, out));
     Bytes big(16, 17);
     EXPECT_FALSE(pkcs7Unpad(big, out)); // pad > block size
-}
-
-TEST(Cbc, RoundTripVariousSizes)
-{
-    Bytes key(32, 0x42);
-    Aes aes(key);
-    Iv iv{};
-    iv[0] = 9;
-    sim::Random rng(5);
-    for (size_t n : {0u, 1u, 15u, 16u, 17u, 100u, 4096u}) {
-        Bytes plain(n);
-        for (auto &b : plain)
-            b = uint8_t(rng.next());
-        Bytes cipher = cbcEncrypt(aes, iv, plain);
-        EXPECT_EQ(cipher.size() % Aes::kBlockSize, 0u);
-        Bytes out;
-        ASSERT_TRUE(cbcDecrypt(aes, iv, cipher, out));
-        EXPECT_EQ(out, plain);
-    }
-}
-
-TEST(Cbc, CiphertextDiffersFromPlaintext)
-{
-    Bytes key(32, 1);
-    Aes aes(key);
-    Iv iv{};
-    Bytes plain(64, 0);
-    Bytes cipher = cbcEncrypt(aes, iv, plain);
-    // Identical plaintext blocks must not produce identical ciphertext
-    // blocks (CBC chaining).
-    Bytes b0(cipher.begin(), cipher.begin() + 16);
-    Bytes b1(cipher.begin() + 16, cipher.begin() + 32);
-    EXPECT_NE(b0, b1);
-}
-
-TEST(Cbc, WrongIvFailsOrGarbles)
-{
-    Bytes key(32, 1);
-    Aes aes(key);
-    Iv iv{}, wrong{};
-    wrong[0] = 1;
-    Bytes plain(32, 7);
-    Bytes cipher = cbcEncrypt(aes, iv, plain);
-    Bytes out;
-    bool ok = cbcDecrypt(aes, wrong, cipher, out);
-    if (ok) {
-        EXPECT_NE(out, plain);
-    }
-}
-
-TEST(Cbc, TamperedCiphertextRejectedOrGarbled)
-{
-    Bytes key(32, 3);
-    Aes aes(key);
-    Iv iv{};
-    Bytes plain(100, 0x5c);
-    Bytes cipher = cbcEncrypt(aes, iv, plain);
-    cipher[20] ^= 1;
-    Bytes out;
-    bool ok = cbcDecrypt(aes, iv, cipher, out);
-    if (ok) {
-        EXPECT_NE(out, plain);
-    }
 }
 
 TEST(Ctr, RoundTripPreservesLength)

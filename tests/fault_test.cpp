@@ -252,7 +252,8 @@ runVrioFilebench(const fault::FaultPlan *plan)
     VrioRun r;
     r.ops = wl.opsCompleted();
     r.errors = wl.ioErrors();
-    r.retransmits = vm->clientRetransmissions(0);
+    r.retransmits =
+        bench::clientCount(*vm, 0, "transport.rtq.retransmissions");
     r.latency_us = wl.latencyUs().raw();
     if (inj)
         r.injected_drops = inj->framesDropped();
@@ -357,7 +358,8 @@ TEST(FaultRecovery, IoHostOutageStallsThenRecovers)
     EXPECT_EQ(wl.ioErrors(), 0u);
     EXPECT_EQ(inj.outagesTriggered(), 1u);
     EXPECT_GT(vm->hypervisor().offlineRxDrops(), 0u);
-    EXPECT_GT(vm->clientRetransmissions(0), 0u);
+    EXPECT_GT(bench::clientCount(*vm, 0, "transport.rtq.retransmissions"),
+              0u);
     EXPECT_FALSE(vm->hypervisor().offline());
 }
 
@@ -628,7 +630,7 @@ TEST(Recovery, HeartbeatLapseFailsOverToStandby)
 
     auto wls = startFilebench(exp, 1);
     exp.sim->runUntil(exp.sim->now() + opt.warmup);
-    EXPECT_GT(vm->clientHeartbeatsSeen(0), 0u);
+    EXPECT_GT(bench::clientCount(*vm, 0, "client.heartbeats_seen"), 0u);
 
     // The primary dies and never returns inside the run: recovery
     // must come from failover, not from waiting out the outage.
@@ -640,8 +642,8 @@ TEST(Recovery, HeartbeatLapseFailsOverToStandby)
     inj.arm();
 
     exp.sim->runUntil(exp.sim->now() + 30 * kMillisecond);
-    EXPECT_GE(vm->clientHeartbeatLapses(0), 1u);
-    EXPECT_EQ(vm->clientFailovers(0), 1u);
+    EXPECT_GE(bench::clientCount(*vm, 0, "client.heartbeat_lapses"), 1u);
+    EXPECT_EQ(bench::clientCount(*vm, 0, "client.failovers"), 1u);
     // Detection within the lapse window (miss * period = 8 ms) of the
     // last pre-crash beat.
     EXPECT_GT(vm->clientLapseTick(0), dead_at);

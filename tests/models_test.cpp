@@ -21,6 +21,15 @@ using sim::kMicrosecond;
 using sim::kMillisecond;
 using sim::kSecond;
 
+/** Client @p v's count in its {vm} telemetry series @p series. */
+uint64_t
+clientCount(VrioModel &vm, unsigned v, const char *series)
+{
+    hv::Vm &guest = vm.guest(v).vm();
+    return guest.sim().telemetry().metrics.count(series,
+                                                 {{"vm", guest.name()}});
+}
+
 struct Harness
 {
     sim::Simulation sim{12345};
@@ -304,7 +313,7 @@ TEST(VrioHandshake, DeviceCreationAcked)
     auto &vm = static_cast<VrioModel &>(*h.model);
     // Each client saw a net and a block DevCreate and acked both.
     for (unsigned v = 0; v < 3; ++v)
-        EXPECT_EQ(vm.clientDevCreates(v), 2u) << "vm " << v;
+        EXPECT_EQ(clientCount(vm, v, "client.dev_creates"), 2u) << "vm " << v;
     EXPECT_EQ(vm.hypervisor().acksReceived(), 6u);
 }
 
@@ -346,7 +355,7 @@ TEST(VrioLoss, BlockRetransmissionRecovers)
     EXPECT_EQ(failed, 0);
     // With 5% loss and multi-frame requests, retransmissions must
     // have actually happened for this test to mean anything.
-    EXPECT_GT(vm.clientRetransmissions(0), 0u);
+    EXPECT_GT(clientCount(vm, 0, "transport.rtq.retransmissions"), 0u);
 
     // Verify a couple of extents round-trip despite the loss.
     Bytes got;
@@ -657,7 +666,8 @@ TEST(VrioWiring, BuilderKeepsEachCablingShape)
         EXPECT_EQ(macs.size(), c.ports);
         // Every client reached its home port: the handshake landed.
         for (unsigned v = 0; v < mc.num_vms; ++v)
-            EXPECT_GT(vm.clientDevCreates(v), 0u) << "vm " << v;
+            EXPECT_GT(clientCount(vm, v, "client.dev_creates"), 0u)
+                << "vm " << v;
     }
 }
 

@@ -628,9 +628,10 @@ TEST_F(NicFixture, InterruptCoalescingBatches)
     nic->setQueueMac(0, MacAddress::local(1));
     int interrupts = 0;
     size_t frames_seen = 0;
+    std::vector<FramePtr> batch;
     nic->setRxHandler(0, [&](unsigned q) {
         ++interrupts;
-        frames_seen += nic->rxTake(q, 1000).size();
+        frames_seen += nic->rxTake(q, 1000, batch);
     });
     // 5 frames in a burst -> one interrupt.
     inject(MacAddress::local(1), 5);
@@ -647,9 +648,10 @@ TEST_F(NicFixture, InterruptThresholdFiresEarly)
     build();
     nic->setQueueMac(0, MacAddress::local(1));
     std::vector<sim::Tick> fire_times;
+    std::vector<FramePtr> batch;
     nic->setRxHandler(0, [&](unsigned q) {
         fire_times.push_back(sim.now());
-        nic->rxTake(q, 1000);
+        nic->rxTake(q, 1000, batch);
     });
     inject(MacAddress::local(1), 2);
     sim.runToCompletion();
@@ -666,8 +668,14 @@ TEST_F(NicFixture, PollModeNeverInterrupts)
     inject(MacAddress::local(1), 3);
     sim.runToCompletion();
     EXPECT_EQ(nic->interruptsFired(), 0u);
-    EXPECT_EQ(nic->rxTake(0, 2).size(), 2u);
+    std::vector<FramePtr> batch;
+    EXPECT_EQ(nic->rxTake(0, 2, batch), 2u);
+    EXPECT_EQ(batch.size(), 2u);
     EXPECT_EQ(nic->rxPending(0), 1u);
+    // A reused batch is cleared, not appended to.
+    EXPECT_EQ(nic->rxTake(0, 2, batch), 1u);
+    EXPECT_EQ(batch.size(), 1u);
+    EXPECT_EQ(nic->rxPending(0), 0u);
 }
 
 TEST_F(NicFixture, SendAppliesTsoForOversizedTcp)

@@ -536,7 +536,8 @@ TEST(RackCoalesce, RetransmissionsSurviveTheMergePath)
 
     uint64_t retransmits = 0, ops = 0;
     for (unsigned v = 0; v < o.vms; ++v) {
-        retransmits += vm.clientRetransmissions(v);
+        retransmits +=
+            bench::clientCount(vm, v, "transport.rtq.retransmissions");
         ops += wls[v]->opsCompleted();
         EXPECT_EQ(wls[v]->outstandingOps(), 0u) << "vm " << v;
         EXPECT_EQ(wls[v]->ioErrors(), 0u) << "vm " << v;
@@ -559,7 +560,7 @@ TEST(RackPlacement, BootAssignmentRoundRobinsAcrossIoHosts)
     ASSERT_EQ(vm.rackIoHostCount(), 2u);
     for (unsigned v = 0; v < 4; ++v) {
         EXPECT_EQ(vm.clientHomeIoHost(v), v % 2) << "vm " << v;
-        EXPECT_EQ(vm.clientResteers(v), 0u);
+        EXPECT_EQ(bench::clientCount(vm, v, "rack.resteers"), 0u);
     }
 }
 
@@ -596,11 +597,14 @@ TEST(RackPlacement, DeadIoHostIsJustAPlacementDecision)
         if (v % 2 == 0) {
             // Homed on the dead IOhost: lapsed and failed over.
             EXPECT_EQ(vm.clientHomeIoHost(v), 1u) << "vm " << v;
-            EXPECT_EQ(vm.clientFailovers(v), 1u) << "vm " << v;
-            EXPECT_GE(vm.clientResteers(v), 1u) << "vm " << v;
+            EXPECT_EQ(bench::clientCount(vm, v, "client.failovers"), 1u)
+                << "vm " << v;
+            EXPECT_GE(bench::clientCount(vm, v, "rack.resteers"), 1u)
+                << "vm " << v;
         } else {
             EXPECT_EQ(vm.clientHomeIoHost(v), 1u) << "vm " << v;
-            EXPECT_EQ(vm.clientFailovers(v), 0u) << "vm " << v;
+            EXPECT_EQ(bench::clientCount(vm, v, "client.failovers"), 0u)
+                << "vm " << v;
         }
     }
 
@@ -662,18 +666,28 @@ TEST(RackPlacement, FailbackReturnsRefugeesToTheRevivedHome)
             if (v % 2 == 0) {
                 // Boot-homed on the dead IOhost: failed over either
                 // way; only fail-back brings it home again.
-                EXPECT_EQ(vm.clientFailovers(v), 1u)
+                EXPECT_EQ(bench::clientCount(vm, v, "client.failovers"), 1u)
                     << "failback " << failback << " vm " << v;
                 EXPECT_EQ(vm.clientHomeIoHost(v), failback ? 0u : 1u)
                     << "failback " << failback << " vm " << v;
-                EXPECT_EQ(vm.clientFailbacks(v), failback ? 1u : 0u)
-                    << "failback " << failback << " vm " << v;
+                if (failback) {
+                    EXPECT_EQ(bench::clientCount(vm, v, "rack.failbacks"), 1u)
+                        << "vm " << v;
+                }
             } else {
                 EXPECT_EQ(vm.clientHomeIoHost(v), 1u)
                     << "failback " << failback << " vm " << v;
-                EXPECT_EQ(vm.clientFailbacks(v), 0u)
-                    << "failback " << failback << " vm " << v;
+                if (failback) {
+                    EXPECT_EQ(bench::clientCount(vm, v, "rack.failbacks"), 0u)
+                        << "vm " << v;
+                }
             }
+        }
+        // Without rack.failback there is no fail-back series at all.
+        if (!failback) {
+            EXPECT_EQ(tb->simulation().telemetry().metrics.find(
+                          "rack.failbacks", {{"vm", tb->guest(0).vm().name()}}),
+                      nullptr);
         }
 
         // Whatever the placement, the loops still drain dry.
@@ -722,9 +736,12 @@ TEST(RackPlacement, LoadImbalanceTriggersVoluntaryResteer)
     tb->runFor(40 * kMillisecond);
     for (unsigned v = 0; v < o.vms; v += 2) {
         EXPECT_EQ(vm.clientHomeIoHost(v), 1u) << "vm " << v;
-        EXPECT_GE(vm.clientResteers(v), 1u) << "vm " << v;
-        EXPECT_EQ(vm.clientFailovers(v), 0u) << "vm " << v;
-        EXPECT_EQ(vm.clientHeartbeatLapses(v), 0u) << "vm " << v;
+        EXPECT_GE(bench::clientCount(vm, v, "rack.resteers"), 1u)
+            << "vm " << v;
+        EXPECT_EQ(bench::clientCount(vm, v, "client.failovers"), 0u)
+            << "vm " << v;
+        EXPECT_EQ(bench::clientCount(vm, v, "client.heartbeat_lapses"), 0u)
+            << "vm " << v;
     }
 
     // Un-wedge so the moved clients' stragglers can drain from the
@@ -857,7 +874,7 @@ TEST_P(RackSoak, FaultSoupDrainsDry)
     uint64_t ops = 0, resteers = 0;
     for (unsigned v = 0; v < vms; ++v) {
         ops += wls[v]->opsCompleted();
-        resteers += vm.clientResteers(v);
+        resteers += bench::clientCount(vm, v, "rack.resteers");
         EXPECT_EQ(wls[v]->outstandingOps(), 0u)
             << "seed " << seed << " threads " << threads << " vm " << v;
         EXPECT_EQ(vm.clientPendingBlocks(v), 0u)

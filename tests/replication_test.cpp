@@ -558,8 +558,8 @@ TEST(ReplFailover, AckedWritesReadableFromTheWarmPeer)
     // The lapse classified as HomeDead (IOhost 1 kept beating) and
     // failover preferred the warm peer.
     EXPECT_EQ(vm.clientHomeIoHost(0), 1u);
-    EXPECT_EQ(vm.clientFailovers(0), 1u);
-    EXPECT_EQ(vm.clientPathSuspicions(0), 0u);
+    EXPECT_EQ(bench::clientCount(vm, 0, "client.failovers"), 1u);
+    EXPECT_EQ(bench::clientCount(vm, 0, "rack.path_suspicions"), 0u);
     EXPECT_EQ(done_b, 1u);
     // The mirror stream demonstrably fed the peer.
     ASSERT_NE(hv1.replicator(), nullptr);
@@ -610,10 +610,10 @@ TEST(ReplRehome, PlannedFlipHasBoundedBlackout)
     vm.scheduleRehome(0, 1, tb->simulation().now() + 2 * kMillisecond);
     tb->runFor(20 * kMillisecond);
 
-    EXPECT_EQ(vm.clientRehomes(0), 1u);
+    EXPECT_EQ(bench::clientCount(vm, 0, "rack.rehomes"), 1u);
     EXPECT_EQ(vm.clientHomeIoHost(0), 1u);
     // A re-home is not a failure: no lapse, no failover.
-    EXPECT_EQ(vm.clientFailovers(0), 0u);
+    EXPECT_EQ(bench::clientCount(vm, 0, "client.failovers"), 0u);
     EXPECT_EQ(vm.rackHypervisor(0).rehomesIssued(), 1u);
     // Blackout = flip tick to first accepted response at the new
     // home.  A planned flip pays a handoff round trip, never a
@@ -670,14 +670,14 @@ TEST(ReplPathSuspect, TotalBeatSilenceSuppressesFailover)
     // VM 0 (homed on IOhost 0, whose port died last): by the time its
     // monitor lapsed, IOhost 1 was long silent too — pure suspicion,
     // zero failovers, home unchanged.
-    EXPECT_GE(vm.clientPathSuspicions(0), 1u);
-    EXPECT_EQ(vm.clientFailovers(0), 0u);
+    EXPECT_GE(bench::clientCount(vm, 0, "rack.path_suspicions"), 1u);
+    EXPECT_EQ(bench::clientCount(vm, 0, "client.failovers"), 0u);
     EXPECT_EQ(vm.clientHomeIoHost(0), 0u);
     // VM 1's home port died first while IOhost 0 still beat — that
     // lapse is a legitimate HomeDead failover — but once every source
     // went dark, further lapses were suppressed as suspicion.
-    EXPECT_GE(vm.clientPathSuspicions(1), 1u);
-    EXPECT_LE(vm.clientFailovers(1), 1u);
+    EXPECT_GE(bench::clientCount(vm, 1, "rack.path_suspicions"), 1u);
+    EXPECT_LE(bench::clientCount(vm, 1, "client.failovers"), 1u);
 
     // The path healed: both clients serve I/O again from wherever
     // they sit, with no stranded state.
@@ -823,10 +823,10 @@ TEST_P(ReplHandoff, FailoverUnderLoadDrainsDryAtEveryThreadCount)
         EXPECT_EQ(vm.clientPendingBlocks(v), 0u)
             << "seed " << seed << " threads " << threads << " vm " << v;
         fingerprint.push_back(wls[v]->opsCompleted());
-        fingerprint.push_back(vm.clientFailovers(v));
-        fingerprint.push_back(vm.clientResteers(v));
-        fingerprint.push_back(vm.clientPathSuspicions(v));
-        fingerprint.push_back(vm.clientRetransmissions(v));
+        for (const char *series :
+             {"client.failovers", "rack.resteers", "rack.path_suspicions",
+              "transport.rtq.retransmissions"})
+            fingerprint.push_back(bench::clientCount(vm, v, series));
     }
     EXPECT_GT(ops, 100u);
     for (unsigned k = 0; k < 2; ++k) {
@@ -839,10 +839,13 @@ TEST_P(ReplHandoff, FailoverUnderLoadDrainsDryAtEveryThreadCount)
             << " homes " << vm.clientHomeIoHost(0)
             << vm.clientHomeIoHost(1) << vm.clientHomeIoHost(2)
             << vm.clientHomeIoHost(3) << " failovers "
-            << vm.clientFailovers(0) << vm.clientFailovers(1)
-            << vm.clientFailovers(2) << vm.clientFailovers(3)
-            << " suspicions " << vm.clientPathSuspicions(1)
-            << vm.clientPathSuspicions(3);
+            << bench::clientCount(vm, 0, "client.failovers")
+            << bench::clientCount(vm, 1, "client.failovers")
+            << bench::clientCount(vm, 2, "client.failovers")
+            << bench::clientCount(vm, 3, "client.failovers")
+            << " suspicions "
+            << bench::clientCount(vm, 1, "rack.path_suspicions")
+            << bench::clientCount(vm, 3, "rack.path_suspicions");
         fingerprint.push_back(hv.warmReplays());
         fingerprint.push_back(hv.commitHits());
         fingerprint.push_back(hv.duplicatesSuppressed());
@@ -851,7 +854,7 @@ TEST_P(ReplHandoff, FailoverUnderLoadDrainsDryAtEveryThreadCount)
     // (voluntary re-steering is off).
     EXPECT_EQ(vm.clientHomeIoHost(0), 1u);
     EXPECT_EQ(vm.clientHomeIoHost(2), 1u);
-    EXPECT_EQ(vm.clientFailovers(0), 1u);
+    EXPECT_EQ(bench::clientCount(vm, 0, "client.failovers"), 1u);
 
     // Thread-count invariance: the first run of each seed records the
     // fingerprint; every other thread count must reproduce it.
@@ -957,7 +960,9 @@ TEST_P(ReplSoak, CrashDuringRehomeAndReplLinkKillDrainDry)
     }
     EXPECT_GT(ops, 100u);
     EXPECT_EQ(vm.clientHomeIoHost(0), 1u);
-    EXPECT_GE(vm.clientRehomes(0) + vm.clientFailovers(0), 1u);
+    EXPECT_GE(bench::clientCount(vm, 0, "rack.rehomes") +
+                  bench::clientCount(vm, 0, "client.failovers"),
+              1u);
     for (unsigned k = 0; k < 2; ++k)
         EXPECT_EQ(vm.rackHypervisor(k).heldResponses(), 0u)
             << "iohost " << k;

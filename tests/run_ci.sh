@@ -96,6 +96,14 @@ run env VRIO_BENCH_SMOKE=1 \
     ./build-ci-release/bench/fig07_netperf_rr_latency > /dev/null
 run ./build-ci-release/tests/trace_check "$TELEM_DIR/trace.json" 5
 run test "$(wc -l < "$TELEM_DIR/metrics.csv")" -gt 100
+# Every count is a labelled series: the warm-failover figure must
+# export an IOhost count and a client count as counter rows.
+run env VRIO_BENCH_SMOKE=1 VRIO_METRICS="$TELEM_DIR/fig19.csv" \
+    ./build-ci-release/bench/fig19_warm_failover > /dev/null
+run grep -qE ',counter,repl\.warm_replays\{iohv=[^}]+\},' \
+    "$TELEM_DIR/fig19.csv"
+run grep -qE ',counter,client\.failovers\{vm=[^}]+\},' \
+    "$TELEM_DIR/fig19.csv"
 
 echo "== Simulator hot-path microbenchmark (Release) =="
 run ./build-ci-release/bench/micro_sim_hotpath

@@ -4,8 +4,8 @@
  * with a fixed (seed, shard count), results must not depend on the
  * number of worker threads.  Each topology below runs with 1, 2 and
  * 8 threads over the same shard layout and the full observable
- * surface — every telemetry series, every stats-registry counter and
- * the workload-level measurements — must match exactly.
+ * surface — every telemetry series and the workload-level
+ * measurements — must match exactly.
  *
  * This is the contract that makes parallel runs trustworthy: thread
  * scheduling may interleave shard execution arbitrarily inside an
@@ -20,7 +20,6 @@
 #include <string>
 
 #include "core/testbed.hpp"
-#include "stats/registry.hpp"
 #include "workloads/filebench.hpp"
 #include "workloads/netperf.hpp"
 #include "workloads/open_loop.hpp"
@@ -63,10 +62,6 @@ fingerprint(core::Testbed &tb)
             }
             out["tm:" + key.str()] = val.str();
         });
-
-    auto &reg = tb.simulation().stats();
-    for (const auto &name : reg.counterNames())
-        out["st:" + name] = std::to_string(reg.counterValue(name));
 
     out["sim:now"] = std::to_string(tb.simulation().now());
     return out;

@@ -439,30 +439,11 @@ TEST(Simulation, StatsAndScheduling)
     Simulation sim(9);
     int fired = 0;
     sim.after(10 * kMicrosecond, [&]() { ++fired; });
-    sim.stats().counter("x").inc();
+    sim.telemetry().metrics.counter("x").inc();
     sim.runUntil(kSecond);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(sim.now(), kSecond);
-    EXPECT_EQ(sim.stats().counterValue("x"), 1u);
-}
-
-class NamedThing : public SimObject
-{
-  public:
-    using SimObject::SimObject;
-    void
-    touch()
-    {
-        statCounter("hits").inc();
-    }
-};
-
-TEST(SimObject, StatNamesArePrefixed)
-{
-    Simulation sim;
-    NamedThing thing(sim, "rack.widget");
-    thing.touch();
-    EXPECT_EQ(sim.stats().counterValue("rack.widget.hits"), 1u);
+    EXPECT_EQ(sim.telemetry().metrics.count("x"), 1u);
 }
 
 // -- batched same-tick firing -------------------------------------------

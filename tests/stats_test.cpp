@@ -4,9 +4,7 @@
  */
 #include <gtest/gtest.h>
 
-#include "stats/counters.hpp"
 #include "stats/histogram.hpp"
-#include "stats/registry.hpp"
 #include "stats/table.hpp"
 #include "stats/time_series.hpp"
 
@@ -128,37 +126,6 @@ TEST(Histogram, ResetClearsAll)
     EXPECT_DOUBLE_EQ(h.sum(), 0.0);
 }
 
-TEST(RunningStats, MatchesDirectComputation)
-{
-    RunningStats rs;
-    double vals[] = {1, 2, 3, 4, 100};
-    double sum = 0;
-    for (double v : vals) {
-        rs.add(v);
-        sum += v;
-    }
-    EXPECT_EQ(rs.count(), 5u);
-    EXPECT_NEAR(rs.mean(), sum / 5, 1e-12);
-    EXPECT_DOUBLE_EQ(rs.min(), 1.0);
-    EXPECT_DOUBLE_EQ(rs.max(), 100.0);
-    double m = sum / 5;
-    double var = 0;
-    for (double v : vals)
-        var += (v - m) * (v - m);
-    var /= 5;
-    EXPECT_NEAR(rs.variance(), var, 1e-9);
-}
-
-TEST(Counter, IncAndReset)
-{
-    Counter c;
-    c.inc();
-    c.inc(5);
-    EXPECT_EQ(c.value(), 6u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
 TEST(TimeSeries, RunningAverage)
 {
     TimeSeries ts;
@@ -192,33 +159,6 @@ TEST(TimeSeries, NonMonotonicTickPanics)
     TimeSeries ts;
     ts.add(10, 1);
     EXPECT_DEATH(ts.add(5, 2), "non-decreasing");
-}
-
-TEST(Registry, CounterLookup)
-{
-    Registry reg;
-    reg.counter("a.x").inc(3);
-    reg.counter("a.y").inc(1);
-    reg.counter("b.z").inc(7);
-    EXPECT_TRUE(reg.hasCounter("a.x"));
-    EXPECT_FALSE(reg.hasCounter("a.w"));
-    EXPECT_EQ(reg.counterValue("b.z"), 7u);
-    EXPECT_EQ(reg.counterValue("missing"), 0u);
-    auto names = reg.counterNames("a.");
-    ASSERT_EQ(names.size(), 2u);
-    EXPECT_EQ(names[0], "a.x");
-}
-
-TEST(Registry, DumpAndReset)
-{
-    Registry reg;
-    reg.counter("c").inc(2);
-    reg.histogram("h").add(1.5);
-    std::string dump = reg.dump();
-    EXPECT_NE(dump.find("c"), std::string::npos);
-    reg.resetAll();
-    EXPECT_EQ(reg.counterValue("c"), 0u);
-    EXPECT_EQ(reg.histogram("h").count(), 0u);
 }
 
 TEST(Table, RendersAlignedColumns)

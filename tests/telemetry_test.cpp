@@ -88,6 +88,21 @@ TEST(MetricsRegistry, ProbesSampleLazily)
     EXPECT_DOUBLE_EQ(s->sampler(), 42.0);
 }
 
+TEST(MetricsRegistry, CountReadsExactlyOneSeries)
+{
+    MetricsRegistry reg;
+    reg.counter("a.b", {{"k", "v"}}).add(9);
+    uint64_t backing = 4;
+    reg.probe("p.q", {{"k", "v"}}, [&backing]() { return double(backing); });
+    reg.gauge("g");
+    EXPECT_EQ(reg.count("a.b", {{"k", "v"}}), 9u);
+    EXPECT_EQ(reg.count("p.q", {{"k", "v"}}), 4u);
+    // A series that does not exist fails loudly instead of reading 0.
+    EXPECT_DEATH(reg.count("a.b"), "no telemetry series a.b");
+    EXPECT_DEATH(reg.count("a.b", {{"k", "w"}}), "a.b\\{k=w\\}");
+    EXPECT_DEATH(reg.count("g"), "not a counter or probe");
+}
+
 TEST(MetricsRegistry, ForEachVisitsSortedOrder)
 {
     MetricsRegistry reg;
@@ -105,6 +120,16 @@ TEST(MetricsRegistry, ForEachVisitsSortedOrder)
 // --------------------------------------------------------------- histogram
 
 // ---------------------------------------------------------------- striping
+
+TEST(Counter, IncAndReset)
+{
+    telemetry::Counter c;
+    c.inc();
+    c.add(5);
+    EXPECT_EQ(c.value(), 6u);
+    c.reset();
+    EXPECT_EQ(c.value(), 0u);
+}
 
 TEST(Counter, StripedSlotsMergeOnRead)
 {

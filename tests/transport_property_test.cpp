@@ -490,8 +490,8 @@ TEST_P(ReassemblyEquivalence, MatchesReferenceOnHostileSegmentSequences)
 
             // Faults: a flipped payload (or serial) bit fails only the
             // end-to-end checksum; a bad magic fails the header decode.
-            // total_len stays intact: a wrong one overshoots, which
-            // both reassemblers treat as a panic.
+            // total_len stays intact: a short one overshoots, which
+            // the reference does not model (ShortTotalLen below).
             int fault = int(rng.uniformInt(0, 9));
             if (fault == 0) {
                 size_t at = plen ? rng.uniformInt(TransportHeader::kSize,
@@ -557,6 +557,58 @@ TEST_P(ReassemblyEquivalence, MatchesReferenceOnHostileSegmentSequences)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReassemblyEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+// A header whose total_len is shorter than the bytes its segments carry
+// (garbled or hostile) overshoots.  The message is dropped and counted
+// like a checksum failure; it never assembles and never stops the run.
+TEST(ReassemblyProperty, ShortTotalLenIsDroppedNotFatal)
+{
+    // Byte offset of total_len in the encoded transport header.
+    constexpr size_t kTotalLenAt = 24;
+    sim::Random rng(7);
+    sim::Simulation sim;
+    Reassembler reasm(sim.events(), net::kMtuVrioJumbo);
+    const MacAddress src = MacAddress::local(10);
+
+    for (int iter = 0; iter < 300; ++iter) {
+        size_t plen = iter == 0 ? 4 : rng.uniformInt(1, 20000);
+        Bytes msg = sealedMessage(rng, uint64_t(iter), plen);
+        uint32_t short_len =
+            iter == 0 ? 0 : uint32_t(rng.uniformInt(0, plen - 1));
+        for (size_t b = 0; b < 4; ++b)
+            msg[kTotalLenAt + b] = uint8_t(short_len >> (8 * b));
+
+        // In-order pieces, shuffled most of the time; the first one
+        // carries the whole header, as every sender's does.
+        std::vector<net::FramePtr> frames;
+        uint32_t len = uint32_t(msg.size());
+        uint32_t max_piece = rng.bernoulli(0.3) ? len : len / 3 + 1;
+        for (uint32_t off = 0; off < len;) {
+            uint32_t piece = uint32_t(rng.uniformInt(1, max_piece));
+            if (off == 0)
+                piece = std::max<uint32_t>(piece, TransportHeader::kSize);
+            piece = std::min(piece, len - off);
+            frames.push_back(
+                segmentFrame(src, uint32_t(iter), msg, off, piece));
+            off += piece;
+        }
+        if (rng.bernoulli(0.7)) {
+            for (size_t i = frames.size(); i > 1; --i)
+                std::swap(frames[i - 1], frames[rng.uniformInt(0, i - 1)]);
+        }
+        for (const auto &f : frames)
+            ASSERT_FALSE(reasm.feed(*f).has_value()) << "iter " << iter;
+        ASSERT_EQ(reasm.checksumDrops(), uint64_t(iter + 1))
+            << "iter " << iter << " plen " << plen << " total_len "
+            << short_len;
+
+        // Segments after the drop start a headerless partial; let it
+        // expire before the next message.
+        sim.runUntil(sim.now() + sim::Tick(200) * sim::kMillisecond);
+        ASSERT_EQ(reasm.partialCount(), 0u);
+    }
+    EXPECT_EQ(reasm.messagesCompleted(), 0u);
+}
 
 } // namespace
 } // namespace vrio::transport

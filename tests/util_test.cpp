@@ -12,7 +12,6 @@
 #include "util/byte_buffer.hpp"
 #include "util/crc32.hpp"
 #include "util/crc32_impl.hpp"
-#include "util/hexdump.hpp"
 #include "util/strutil.hpp"
 #include "util/zeroed_bytes.hpp"
 
@@ -230,20 +229,6 @@ TEST(Crc32Property, RandomLongInputsMatchReferenceWholeAndSplit)
                 << " split=" << split;
         }
     }
-}
-
-TEST(Hexdump, CompactHex)
-{
-    Bytes data = {0xde, 0xad, 0xbe, 0xef};
-    EXPECT_EQ(toHex(data), "deadbeef");
-}
-
-TEST(Hexdump, DumpShowsAsciiGutter)
-{
-    Bytes data = {'h', 'i', 0x00};
-    std::string dump = hexDump(data);
-    EXPECT_NE(dump.find("68 69 00"), std::string::npos);
-    EXPECT_NE(dump.find("|hi.|"), std::string::npos);
 }
 
 TEST(StrUtil, Format)
