@@ -11,32 +11,6 @@
 
 namespace vrio::crypto {
 
-Bytes
-pkcs7Pad(std::span<const uint8_t> data)
-{
-    size_t pad = Aes::kBlockSize - data.size() % Aes::kBlockSize;
-    Bytes out(data.begin(), data.end());
-    out.insert(out.end(), pad, uint8_t(pad));
-    return out;
-}
-
-bool
-pkcs7Unpad(std::span<const uint8_t> data, Bytes &out)
-{
-    out.clear();
-    if (data.empty() || data.size() % Aes::kBlockSize != 0)
-        return false;
-    uint8_t pad = data.back();
-    if (pad == 0 || pad > Aes::kBlockSize || pad > data.size())
-        return false;
-    for (size_t i = data.size() - pad; i < data.size(); ++i) {
-        if (data[i] != pad)
-            return false;
-    }
-    out.assign(data.begin(), data.end() - pad);
-    return true;
-}
-
 namespace detail {
 
 namespace {

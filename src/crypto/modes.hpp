@@ -1,6 +1,6 @@
 /**
  * @file
- * AES in CTR mode, plus PKCS#7 padding helpers.
+ * AES in CTR mode.
  *
  * The interposition encryption service (interpose/services.hpp) uses
  * CTR, in place via ctrXor(), for both block and packet payloads:
@@ -13,15 +13,6 @@
 #include "util/byte_buffer.hpp"
 
 namespace vrio::crypto {
-
-/** PKCS#7: pad to a whole number of blocks (always adds 1..16 bytes). */
-Bytes pkcs7Pad(std::span<const uint8_t> data);
-
-/**
- * Remove PKCS#7 padding.  Returns false (and leaves @p out empty) if
- * the padding is malformed.
- */
-bool pkcs7Unpad(std::span<const uint8_t> data, Bytes &out);
 
 /**
  * CTR keystream XOR in place (encrypt == decrypt).  Counter block i is

@@ -30,9 +30,6 @@ IoHypervisor::IoHypervisor(sim::Simulation &sim, std::string name,
                     machine.coreCount(),
                 "IOhost machine has too few cores for ",
                 cfg.num_workers, " workers");
-    vrio_assert(!(cfg.qos && cfg.coalesce),
-                "QoS and coalescing both re-order the fan-out queue; "
-                "enable at most one");
     // Telemetry handles: resolved once here, bumped raw on the
     // datapath.  One series per instance, labeled {iohv=<name>}.
     auto &m = sim.telemetry().metrics;
@@ -495,6 +492,32 @@ IoHypervisor::stageDone(unsigned worker)
         pumpExternalRings();
 }
 
+unsigned
+IoHypervisor::handOff(uint32_t device_id, bool count_dispatch)
+{
+    ++inflight;
+    unsigned w = steer.steer(device_id);
+    ++worker_inflight[w];
+    if (count_dispatch)
+        worker_stats[w].dispatches->inc();
+    return w;
+}
+
+bool
+IoHypervisor::closeFirstStage(unsigned worker, uint64_t epoch, sim::Tick t0,
+                              uint32_t device_id)
+{
+    // Quarantined while queued: steering and intake accounting were
+    // reconciled by the watchdog, and the client replays.
+    if (epoch != worker_epoch[worker])
+        return false;
+    worker_stats[worker].residency_ns->record(
+        (sim().events().now() - t0) / 1000);
+    steer.complete(device_id, worker);
+    stageDone(worker);
+    return true;
+}
+
 void
 IoHypervisor::pumpClientRings()
 {
@@ -540,12 +563,19 @@ IoHypervisor::dispatch(MessageAssembler::Assembled req)
         tr.instant(tr_track, tr_dispatch, sim().events().now(),
                    telemetry::cat::kIo, req.hdr.request_serial);
     }
+    // A request for a device this IOhost does not serve is foreign:
+    // turned away here, before dedup and steering, it leaves no
+    // intake, in-service or mirrored state behind.
+    if ((req.hdr.type == MsgType::NetOut &&
+         !net_devices.contains(req.hdr.device_id)) ||
+        (req.hdr.type == MsgType::BlkReq &&
+         !blk_devices.contains(req.hdr.device_id))) {
+        foreign_rx->inc();
+        return;
+    }
     switch (req.hdr.type) {
       case MsgType::NetOut: {
-        ++inflight;
-        unsigned w = steer.steer(req.hdr.device_id);
-        ++worker_inflight[w];
-        worker_stats[w].dispatches->inc();
+        unsigned w = handOff(req.hdr.device_id);
         execNet(w, std::move(req));
         break;
       }
@@ -559,16 +589,13 @@ IoHypervisor::dispatch(MessageAssembler::Assembled req)
             if (repl_->committedLookup(req.hdr.device_id,
                                        req.hdr.request_serial, cgen)) {
                 commit_hits->inc();
-                auto it = blk_devices.find(req.hdr.device_id);
-                if (it != blk_devices.end()) {
-                    TransportHeader resp = req.hdr;
-                    resp.type = MsgType::BlkResp;
-                    resp.status = uint8_t(virtio::BlkStatus::Ok);
-                    resp.total_len = 0;
-                    resp.generation =
-                        std::max(req.hdr.generation, cgen);
-                    sendToClient(it->second.t_mac, resp, {});
-                }
+                TransportHeader resp = req.hdr;
+                resp.type = MsgType::BlkResp;
+                resp.status = uint8_t(virtio::BlkStatus::Ok);
+                resp.total_len = 0;
+                resp.generation = std::max(req.hdr.generation, cgen);
+                sendToClient(blk_devices.at(req.hdr.device_id).t_mac,
+                             resp, {});
                 break;
             }
         }
@@ -579,33 +606,12 @@ IoHypervisor::dispatch(MessageAssembler::Assembled req)
                          req.hdr.generation))
             break;
         // QoS fan-out: the request queues under the fair/deadline
-        // discipline instead of dispatching FIFO.  Mirroring happens
-        // at pop time so shed requests never enter the replication
-        // stream.  Unknown devices fall through to execBlock for its
-        // warn-and-complete semantics.
-        if (qsched_ &&
-            blk_devices.find(req.hdr.device_id) != blk_devices.end()) {
+        // discipline and is forwarded when the scheduler pops it, so
+        // shed requests never enter the replication stream.
+        if (qsched_)
             qosEnqueue(std::move(req));
-            break;
-        }
-        mirrorAdmitted(req.hdr, req.payload);
-        if (cfg.coalesce) {
-            auto it = blk_devices.find(req.hdr.device_id);
-            // Interposed devices keep the one-request path: a chain
-            // transforms exactly one request's payload, which a merged
-            // run cannot express.  Unknown devices fall through to
-            // execBlock for its warn-and-complete semantics.
-            if (it != blk_devices.end() && !it->second.chain) {
-                stageBlock(std::move(req), it->second);
-                break;
-            }
-        }
-        ++inflight;
-        unsigned w = steer.steer(req.hdr.device_id);
-        dedup.bind(req.hdr.device_id, req.hdr.request_serial, w);
-        ++worker_inflight[w];
-        worker_stats[w].dispatches->inc();
-        execBlock(w, std::move(req));
+        else
+            forwardBlock(std::move(req));
         break;
       }
       case MsgType::DevAck:
@@ -712,14 +718,7 @@ IoHypervisor::recordService(unsigned worker, double cycles)
 void
 IoHypervisor::execNet(unsigned worker, MessageAssembler::Assembled req)
 {
-    auto it = net_devices.find(req.hdr.device_id);
-    if (it == net_devices.end()) {
-        vrio_warn("net request for unknown device ", req.hdr.device_id);
-        steer.complete(req.hdr.device_id, worker);
-        return;
-    }
-    NetDeviceEntry &dev = it->second;
-
+    const NetDeviceEntry &dev = net_devices.at(req.hdr.device_id);
     double cycles = cfg.net_fixed_cycles +
                     cfg.net_per_byte_cycles * double(req.payload.size()) +
                     interposeCycles(dev.chain, req.payload.size()) +
@@ -735,22 +734,11 @@ IoHypervisor::execNet(unsigned worker, MessageAssembler::Assembled req)
     sim::Tick t0 = sim().events().now();
     workerCore(worker).runPreempt(cycles, [this, worker, epoch, device_id, t0,
                                     req = std::move(req)]() mutable {
-        // Quarantined while queued: steering and intake accounting
-        // were reconciled by the watchdog, and the client replays.
-        if (epoch != worker_epoch[worker])
+        if (!closeFirstStage(worker, epoch, t0, device_id))
             return;
-        worker_stats[worker].residency_ns->record(
-            (sim().events().now() - t0) / 1000);
-        steer.complete(device_id, worker);
-        stageDone(worker);
-
         // The payload is the guest's L2 frame; run interposition and
         // forward it out the external port.
-        auto it = net_devices.find(device_id);
-        if (it == net_devices.end())
-            return;
-        NetDeviceEntry &dev = it->second;
-
+        const NetDeviceEntry &dev = net_devices.at(device_id);
         if (dev.chain) {
             interpose::IoContext ctx;
             ctx.dir = interpose::Direction::FromClient;
@@ -789,168 +777,6 @@ IoHypervisor::execNet(unsigned worker, MessageAssembler::Assembled req)
             irqs_taken->inc();
             workerCore(0).runPreempt(cfg.interrupt_cycles, []() {});
         }
-    });
-}
-
-void
-IoHypervisor::execBlock(unsigned worker, MessageAssembler::Assembled req)
-{
-    auto it = blk_devices.find(req.hdr.device_id);
-    if (it == blk_devices.end()) {
-        vrio_warn("block request for unknown device ", req.hdr.device_id);
-        steer.complete(req.hdr.device_id, worker);
-        // No response will release this request's QoS slot (the
-        // device moved away between admission and execution).
-        if (qsched_) {
-            qosFinish(req.hdr.device_id, req.hdr.request_serial);
-            qosPump();
-        }
-        return;
-    }
-    BlockDeviceEntry &dev = it->second;
-    auto kind = virtio::BlkType(req.hdr.blk_type);
-    bool is_write = kind == virtio::BlkType::Out;
-
-    // Zero-copy accounting (Section 4.4): writes reuse the DMA buffer
-    // for its sector-aligned interior, copying only the edges; the
-    // edges come from where the payload landed inside the SKB pages.
-    uint64_t copy_bytes = 0;
-    if (is_write) {
-        auto split = block::splitForZeroCopy(
-            TransportHeader::kSize % virtio::kSectorSize,
-            req.payload.size(), virtio::kSectorSize);
-        copy_bytes += split.copied();
-    }
-    if (!req.zero_copy)
-        copy_bytes += req.payload.size();
-    copied_bytes->add(copy_bytes);
-
-    size_t touched = is_write ? req.payload.size() : 0;
-    double cycles = cfg.blk_fixed_cycles +
-                    cfg.blk_per_byte_cycles * double(touched) +
-                    cfg.copy_per_byte_cycles * double(copy_bytes) +
-                    interposeCycles(dev.chain, req.payload.size()) +
-                    takeBatchCycles() + disturbanceCycles();
-
-    recordService(worker, cycles);
-    uint32_t device_id = req.hdr.device_id;
-    uint64_t epoch = worker_epoch[worker];
-    sim::Tick t0 = sim().events().now();
-    workerCore(worker).runPreempt(cycles, [this, worker, epoch, device_id, t0,
-                                    req = std::move(req),
-                                    kind]() mutable {
-        if (epoch != worker_epoch[worker])
-            return;
-        worker_stats[worker].residency_ns->record(
-            (sim().events().now() - t0) / 1000);
-        steer.complete(device_id, worker);
-        stageDone(worker);
-        auto it = blk_devices.find(device_id);
-        if (it == blk_devices.end())
-            return;
-        BlockDeviceEntry &dev = it->second;
-        bool is_write = kind == virtio::BlkType::Out;
-
-        // Interpose on write payloads before they hit the device.
-        if (dev.chain && is_write) {
-            interpose::IoContext ctx;
-            ctx.dir = interpose::Direction::FromClient;
-            ctx.device_id = device_id;
-            ctx.is_block = true;
-            ctx.sector = req.hdr.sector;
-            double chain_cycles = 0;
-            if (!dev.chain->run(ctx, req.payload, chain_cycles)) {
-                TransportHeader resp = req.hdr;
-                resp.type = MsgType::BlkResp;
-                resp.status = uint8_t(virtio::BlkStatus::IoErr);
-                resp.total_len = 0;
-                resp.generation = dedup.take(
-                    device_id, resp.request_serial, resp.generation);
-                finishBlockResponse(dev.t_mac, resp, {});
-                return;
-            }
-        }
-
-        block::BlockRequest breq;
-        breq.kind = kind;
-        breq.sector = req.hdr.sector;
-        if (is_write) {
-            vrio_assert(req.payload.size() % virtio::kSectorSize == 0,
-                        "unaligned write payload");
-            breq.nsectors =
-                uint32_t(req.payload.size() / virtio::kSectorSize);
-            breq.data = std::move(req.payload);
-        } else if (kind == virtio::BlkType::In ||
-                   kind == virtio::BlkType::Discard) {
-            // Reads and discards carry no payload; the sector count
-            // rides in the header's io_len.
-            breq.nsectors = req.hdr.io_len / virtio::kSectorSize;
-        }
-
-        TransportHeader resp_proto = req.hdr;
-        resp_proto.type = MsgType::BlkResp;
-
-        dev.device->submit(
-            std::move(breq),
-            [this, device_id, resp_proto](virtio::BlkStatus status,
-                                          Bytes data) mutable {
-                auto it = blk_devices.find(device_id);
-                if (it == blk_devices.end())
-                    return;
-                BlockDeviceEntry &dev = it->second;
-                blk_ops->inc();
-
-                // Interpose on read data flowing back to the client
-                // (e.g. decryption); reads of encrypted-at-rest data
-                // are transformed by the same chain in the ToClient
-                // direction.
-                if (dev.chain && status == virtio::BlkStatus::Ok &&
-                    !data.empty()) {
-                    interpose::IoContext ctx;
-                    ctx.dir = interpose::Direction::ToClient;
-                    ctx.device_id = device_id;
-                    ctx.is_block = true;
-                    ctx.sector = resp_proto.sector;
-                    double chain_cycles = 0;
-                    if (!dev.chain->run(ctx, data, chain_cycles)) {
-                        status = virtio::BlkStatus::IoErr;
-                        data.clear();
-                    }
-                }
-
-                // Completion-side worker cost (response path).
-                unsigned w = steer.steer(device_id);
-                // Re-bind the in-service entry to the response-stage
-                // worker: if *this* worker wedges, the quarantine must
-                // release the entry or the client's retries would be
-                // suppressed forever.
-                dedup.bind(device_id, resp_proto.request_serial, w);
-                uint64_t epoch = worker_epoch[w];
-                double cycles =
-                    cfg.blk_fixed_cycles / 2 +
-                    cfg.blk_per_byte_cycles * double(data.size()) +
-                    interposeCycles(dev.chain, data.size());
-                workerCore(w).run(
-                    cycles, [this, w, epoch, device_id, resp_proto,
-                             status, data = std::move(data)]() mutable {
-                        if (epoch != worker_epoch[w])
-                            return;
-                        steer.complete(device_id, w);
-                        auto it = blk_devices.find(device_id);
-                        if (it == blk_devices.end())
-                            return;
-                        TransportHeader resp = resp_proto;
-                        resp.status = uint8_t(status);
-                        // Stamp the newest generation seen, so a
-                        // response computed for generation g still
-                        // matches a client that has retried to g+1.
-                        resp.generation = dedup.take(
-                            device_id, resp.request_serial,
-                            resp.generation);
-                        finishBlockResponse(it->second.t_mac, resp,
-                                            std::move(data));
-                    });
-            });
     });
 }
 
@@ -1035,39 +861,23 @@ IoHypervisor::qosPump()
                     " has no pending request");
         MessageAssembler::Assembled req = std::move(it->second);
         qos_pending.erase(it);
-        mirrorAdmitted(req.hdr, req.payload);
         ++qos_inflight;
-        ++inflight;
-        unsigned w = steer.steer(req.hdr.device_id);
-        dedup.bind(req.hdr.device_id, req.hdr.request_serial, w);
-        ++worker_inflight[w];
-        worker_stats[w].dispatches->inc();
-        execBlock(w, std::move(req));
+        forwardBlock(std::move(req));
     }
 }
 
-std::optional<sim::Tick>
+void
 IoHypervisor::qosFinish(uint32_t device_id, uint64_t serial)
 {
-    // Misses are expected: warm replays and coalesced runs never pass
-    // through the scheduler.
+    // Every block response releases its own slot here, staged or not.
+    // Misses are warm replays, which never pass through the scheduler.
     auto it = qos_live.find({device_id, serial});
     if (it == qos_live.end())
-        return std::nullopt;
-    sim::Tick admitted = it->second;
+        return;
+    sim::Tick waited = sim().events().now() - it->second;
     qos_live.erase(it);
     if (qos_inflight > 0)
         --qos_inflight;
-    return admitted;
-}
-
-void
-IoHypervisor::qosRecordLatency(uint32_t device_id, uint64_t serial)
-{
-    auto admitted = qosFinish(device_id, serial);
-    if (!admitted)
-        return;
-    sim::Tick waited = sim().events().now() - *admitted;
     auto tt = qos_tenants.find(device_id);
     if (tt != qos_tenants.end()) {
         tt->second.latency_us->record(
@@ -1079,21 +889,23 @@ IoHypervisor::qosRecordLatency(uint32_t device_id, uint64_t serial)
     qosPump();
 }
 
-// -- cross-VM request coalescing (rack layer, DESIGN.md §15) --------------
+// -- the block datapath: every request runs as a MergedRun (DESIGN §15) --
 
-void
-IoHypervisor::stageBlock(MessageAssembler::Assembled req,
-                         const BlockDeviceEntry &dev)
+namespace {
+
+/** @p req as a coalescer entry addressed at backend LBA @p lba. */
+transport::CoalesceEntry
+toEntry(MessageAssembler::Assembled &req, const BlockDeviceEntry &dev,
+        uint64_t lba)
 {
-    coalesce_staged->inc();
     transport::CoalesceEntry e;
     e.device_id = req.hdr.device_id;
     e.serial = req.hdr.request_serial;
     e.generation = req.hdr.generation;
     e.blk_type = req.hdr.blk_type;
     e.ns_id = dev.ns_id;
-    e.lba = dev.sector_offset + req.hdr.sector;
-    e.arrival = stage_arrival++;
+    e.sector = req.hdr.sector;
+    e.lba = lba;
     e.zero_copy = req.zero_copy;
     auto kind = virtio::BlkType(req.hdr.blk_type);
     if (kind == virtio::BlkType::Out) {
@@ -1103,8 +915,49 @@ IoHypervisor::stageBlock(MessageAssembler::Assembled req,
         e.payload = std::move(req.payload);
     } else if (kind == virtio::BlkType::In ||
                kind == virtio::BlkType::Discard) {
+        // Reads and discards carry no payload; the sector count rides
+        // in the header's io_len.
         e.nsectors = req.hdr.io_len / virtio::kSectorSize;
     }
+    return e;
+}
+
+} // namespace
+
+void
+IoHypervisor::forwardBlock(MessageAssembler::Assembled req)
+{
+    mirrorAdmitted(req.hdr, req.payload);
+    const BlockDeviceEntry &dev = blk_devices.at(req.hdr.device_id);
+    // Interposed devices never stage: a chain transforms exactly one
+    // request's payload, which a merged run cannot express.
+    if (cfg.coalesce && !dev.chain)
+        stageBlock(std::move(req), dev);
+    else
+        runOne(std::move(req), dev);
+}
+
+void
+IoHypervisor::runOne(MessageAssembler::Assembled req,
+                     const BlockDeviceEntry &dev)
+{
+    // Known defect, kept on purpose (DESIGN.md §15): a run of one
+    // addresses the store at the client sector and ignores
+    // dev.sector_offset, which staged requests and the replica's
+    // applyMirroredCommit both add.  `dev.sector_offset + req.hdr.sector`
+    // here is the whole fix; it raises the rack stores' resident memory.
+    uint64_t lba = req.hdr.sector;
+    execRun(transport::MergedRun::of(toEntry(req, dev, lba)));
+}
+
+void
+IoHypervisor::stageBlock(MessageAssembler::Assembled req,
+                         const BlockDeviceEntry &dev)
+{
+    coalesce_staged->inc();
+    transport::CoalesceEntry e =
+        toEntry(req, dev, dev.sector_offset + req.hdr.sector);
+    e.arrival = stage_arrival++;
 
     // One staging bucket per backing device, in first-seen order (the
     // rack wiring points many device_ids at one shared store — that
@@ -1144,33 +997,33 @@ IoHypervisor::flushCoalescer()
     for (auto &b : buckets) {
         for (auto &run :
              transport::planMergedRuns(std::move(b.entries),
-                                       cfg.coalesce_max))
+                                       cfg.coalesce_max)) {
+            coalesce_runs->inc();
+            if (run.merged())
+                coalesce_merged->add(run.parts.size());
             execRun(std::move(run));
+        }
     }
 }
 
 void
 IoHypervisor::execRun(transport::MergedRun run)
 {
-    coalesce_runs->inc();
-    if (run.merged())
-        coalesce_merged->add(run.parts.size());
-
     // The run steers as one unit keyed by its lead (lowest-LBA)
     // member's device; every member's in-service dedup entry binds to
     // that worker so a quarantine releases the whole run for replay.
     uint32_t lead_id = run.parts.front().device_id;
-    ++inflight;
-    unsigned w = steer.steer(lead_id);
+    unsigned w = handOff(lead_id);
     for (const auto &p : run.parts)
         dedup.bind(p.device_id, p.serial, w);
-    ++worker_inflight[w];
-    worker_stats[w].dispatches->inc();
+    const BlockDeviceEntry &dev = blk_devices.at(lead_id);
 
     // Worker cost: one fixed charge for the whole submission (the
     // relocation payoff), per-byte over the bytes actually touched,
-    // the usual zero-copy edge accounting per member write, plus a
-    // small per-extra-member charge for scatter-gather bookkeeping.
+    // the zero-copy edge accounting per member write (Section 4.4),
+    // the interposition chain, plus a small per-extra-member charge
+    // for scatter-gather bookkeeping.  Chained devices never stage, so
+    // a chain only ever charges for a run of one.
     bool is_write = virtio::BlkType(run.blk_type) == virtio::BlkType::Out;
     uint64_t copy_bytes = 0;
     size_t touched = 0;
@@ -1189,6 +1042,8 @@ IoHypervisor::execRun(transport::MergedRun run)
     double cycles = cfg.blk_fixed_cycles +
                     cfg.blk_per_byte_cycles * double(touched) +
                     cfg.copy_per_byte_cycles * double(copy_bytes) +
+                    interposeCycles(dev.chain,
+                                    run.parts.front().payload.size()) +
                     cfg.coalesce_part_cycles *
                         double(run.parts.size() - 1) +
                     takeBatchCycles() + disturbanceCycles();
@@ -1196,29 +1051,35 @@ IoHypervisor::execRun(transport::MergedRun run)
     recordService(w, cycles);
     uint64_t epoch = worker_epoch[w];
     sim::Tick t0 = sim().events().now();
-    workerCore(w).runPreempt(cycles, [this, w, epoch, lead_id, t0,
+    workerCore(w).runPreempt(cycles, [this, w, epoch, lead_id, t0, is_write,
                                       run = std::move(run)]() mutable {
-        // Quarantined while queued: the watchdog reconciled the
-        // accounting and dropped every member's dedup entry, so the
-        // clients' replays re-execute the whole run.
-        if (epoch != worker_epoch[w])
+        if (!closeFirstStage(w, epoch, t0, lead_id))
             return;
-        worker_stats[w].residency_ns->record(
-            (sim().events().now() - t0) / 1000);
-        steer.complete(lead_id, w);
-        stageDone(w);
-        auto it = blk_devices.find(lead_id);
-        if (it == blk_devices.end())
-            return;
+        const BlockDeviceEntry &dev = blk_devices.at(lead_id);
+        transport::CoalesceEntry &lead = run.parts.front();
+
+        // Interpose on write payloads before they hit the device.
+        if (dev.chain && is_write) {
+            interpose::IoContext ctx;
+            ctx.dir = interpose::Direction::FromClient;
+            ctx.device_id = lead_id;
+            ctx.is_block = true;
+            ctx.sector = lead.sector;
+            double chain_cycles = 0; // pre-charged above
+            if (!dev.chain->run(ctx, lead.payload, chain_cycles)) {
+                respond(lead, virtio::BlkStatus::IoErr, {});
+                return;
+            }
+        }
 
         block::BlockRequest breq;
         breq.kind = virtio::BlkType(run.blk_type);
         breq.sector = run.lba;
         breq.nsectors = run.nsectors;
-        if (breq.kind == virtio::BlkType::Out)
-            breq.data = transport::buildRunPayload(run);
-
-        it->second.device->submit(
+        if (is_write)
+            breq.data = run.merged() ? transport::buildRunPayload(run)
+                                     : std::move(lead.payload);
+        dev.device->submit(
             std::move(breq),
             [this, run = std::move(run)](virtio::BlkStatus status,
                                          Bytes data) mutable {
@@ -1234,15 +1095,35 @@ void
 IoHypervisor::fanBackRun(transport::MergedRun run, virtio::BlkStatus status,
                          Bytes data)
 {
-    // One response-stage worker charge for the whole run, then the
-    // split completions fan back per-VM.
     uint32_t lead_id = run.parts.front().device_id;
+    const BlockDeviceEntry &dev = blk_devices.at(lead_id);
+    // Interpose on read data flowing back to the client (e.g.
+    // decryption): reads of encrypted-at-rest data are transformed by
+    // the same chain in the ToClient direction.
+    if (dev.chain && status == virtio::BlkStatus::Ok && !data.empty()) {
+        interpose::IoContext ctx;
+        ctx.dir = interpose::Direction::ToClient;
+        ctx.device_id = lead_id;
+        ctx.is_block = true;
+        ctx.sector = run.parts.front().sector;
+        double chain_cycles = 0;
+        if (!dev.chain->run(ctx, data, chain_cycles)) {
+            status = virtio::BlkStatus::IoErr;
+            data.clear();
+        }
+    }
+
+    // One response-stage worker charge for the whole run, then the
+    // split completions fan back per-VM.  Re-binding the in-service
+    // entries to this worker means a wedge here releases them too, or
+    // the clients' retries would be suppressed forever.
     unsigned w = steer.steer(lead_id);
     for (const auto &p : run.parts)
         dedup.bind(p.device_id, p.serial, w);
     uint64_t epoch = worker_epoch[w];
     double cycles = cfg.blk_fixed_cycles / 2 +
                     cfg.blk_per_byte_cycles * double(data.size()) +
+                    interposeCycles(dev.chain, data.size()) +
                     cfg.coalesce_part_cycles *
                         double(run.parts.size() - 1);
     workerCore(w).run(cycles, [this, w, epoch, lead_id,
@@ -1254,38 +1135,34 @@ IoHypervisor::fanBackRun(transport::MergedRun run, virtio::BlkStatus status,
         // Completions fan back in arrival order, independent of the
         // LBA order the run was assembled in — a client that staged
         // first completes first.
-        std::vector<const transport::CoalesceEntry *> order;
-        order.reserve(run.parts.size());
-        for (const auto &p : run.parts)
-            order.push_back(&p);
-        std::sort(order.begin(), order.end(),
-                  [](const transport::CoalesceEntry *a,
-                     const transport::CoalesceEntry *b) {
-                      return a->arrival < b->arrival;
+        std::sort(run.parts.begin(), run.parts.end(),
+                  [](const transport::CoalesceEntry &a,
+                     const transport::CoalesceEntry &b) {
+                      return a.arrival < b.arrival;
                   });
-        bool is_read = virtio::BlkType(run.blk_type) == virtio::BlkType::In;
-        for (const transport::CoalesceEntry *p : order) {
-            auto it = blk_devices.find(p->device_id);
-            if (it == blk_devices.end())
-                continue;
-            const BlockDeviceEntry &dev = it->second;
-            TransportHeader resp;
-            resp.type = MsgType::BlkResp;
-            resp.device_id = p->device_id;
-            resp.request_serial = p->serial;
-            resp.blk_type = run.blk_type;
-            resp.sector = p->lba - dev.sector_offset;
-            resp.io_len = p->nsectors * virtio::kSectorSize;
-            resp.status = uint8_t(status);
-            Bytes slice;
-            if (is_read && status == virtio::BlkStatus::Ok)
-                slice = transport::sliceRunData(run, *p, data);
-            resp.total_len = uint32_t(slice.size());
-            resp.generation =
-                dedup.take(p->device_id, p->serial, p->generation);
-            finishBlockResponse(dev.t_mac, resp, std::move(slice));
-        }
+        for (const transport::CoalesceEntry &p : run.parts)
+            respond(p, status, transport::sliceRunData(run, p, data));
     });
+}
+
+void
+IoHypervisor::respond(const transport::CoalesceEntry &p,
+                      virtio::BlkStatus status,
+                      std::span<const uint8_t> data)
+{
+    TransportHeader resp;
+    resp.type = MsgType::BlkResp;
+    resp.device_id = p.device_id;
+    resp.request_serial = p.serial;
+    resp.blk_type = p.blk_type;
+    resp.sector = p.sector;
+    resp.io_len = p.nsectors * virtio::kSectorSize;
+    resp.status = uint8_t(status);
+    resp.total_len = uint32_t(data.size());
+    // Stamp the newest generation seen, so a response computed for
+    // generation g still matches a client that has retried to g+1.
+    resp.generation = dedup.take(p.device_id, p.serial, p.generation);
+    finishBlockResponse(blk_devices.at(p.device_id).t_mac, resp, data);
 }
 
 // -- warm-state replication (DESIGN.md §16) -------------------------------
@@ -1410,7 +1287,7 @@ IoHypervisor::replicationAcked(uint64_t cum_seq)
            held_responses.begin()->first <= cum_seq) {
         HeldResponse r = std::move(held_responses.begin()->second);
         held_responses.erase(held_responses.begin());
-        sendToClient(r.t_mac, r.hdr, r.data);
+        sendToClient(r.t_mac, r.hdr, {});
     }
     // A drain barrier was reached: the peer is warm up to everything
     // mirrored before the re-home began, so command the flip.
@@ -1447,7 +1324,8 @@ IoHypervisor::mirrorAdmitted(const TransportHeader &hdr,
 
 void
 IoHypervisor::finishBlockResponse(net::MacAddress t_mac,
-                                  const TransportHeader &resp, Bytes data)
+                                  const TransportHeader &resp,
+                                  std::span<const uint8_t> data)
 {
     // A backend completion whose submission predates a crash fires
     // into the offline window: its result dies with the host.
@@ -1461,7 +1339,7 @@ IoHypervisor::finishBlockResponse(net::MacAddress t_mac,
     }
     noteDeviceProgress(resp.device_id);
     if (qsched_)
-        qosRecordLatency(resp.device_id, resp.request_serial);
+        qosFinish(resp.device_id, resp.request_serial);
     if (!repl_) {
         sendToClient(t_mac, resp, data);
         return;
@@ -1472,16 +1350,17 @@ IoHypervisor::finishBlockResponse(net::MacAddress t_mac,
                           kind == virtio::BlkType::Discard;
     if (state_changing &&
         virtio::BlkStatus(resp.status) == virtio::BlkStatus::Ok) {
+        // No backend returns data for a state-changing completion, so
+        // a held response is header-only.
+        vrio_assert(data.empty(), "held block response carries data");
         uint64_t seq = repl_->mirrorCommit(resp.device_id,
                                            resp.request_serial,
                                            resp.generation);
-        held_responses.emplace(seq,
-                               HeldResponse{t_mac, resp,
-                                            std::move(data)});
-    } else {
-        repl_->mirrorForget(resp.device_id, resp.request_serial);
-        sendToClient(t_mac, resp, data);
+        held_responses.emplace(seq, HeldResponse{t_mac, resp});
+        return;
     }
+    repl_->mirrorForget(resp.device_id, resp.request_serial);
+    sendToClient(t_mac, resp, data);
 }
 
 void
@@ -1508,28 +1387,21 @@ IoHypervisor::activateWarmState(uint32_t device_id,
             continue;
         warm_replays->inc();
         ++replayed;
-        TransportHeader hdr;
-        hdr.type = MsgType::BlkReq;
-        hdr.device_id = device_id;
-        hdr.request_serial = e.serial;
-        hdr.generation = e.generation;
-        hdr.blk_type = e.blk_type;
-        hdr.sector = e.sector;
-        hdr.io_len = e.io_len;
-        hdr.total_len = uint32_t(e.payload.size());
         MessageAssembler::Assembled req;
-        req.hdr = hdr;
+        req.hdr.type = MsgType::BlkReq;
+        req.hdr.device_id = device_id;
+        req.hdr.request_serial = e.serial;
+        req.hdr.generation = e.generation;
+        req.hdr.blk_type = e.blk_type;
+        req.hdr.sector = e.sector;
+        req.hdr.io_len = e.io_len;
         req.payload = std::move(e.payload);
         req.zero_copy = false; // replayed from mirror memory: copies
         // The chain continues downstream: a replayed request mirrors
-        // to this host's own peer like any freshly admitted one.
+        // to this host's own peer like any freshly admitted one, then
+        // runs at once — no QoS, no staging.
         mirrorAdmitted(req.hdr, req.payload);
-        ++inflight;
-        unsigned w = steer.steer(device_id);
-        dedup.bind(device_id, hdr.request_serial, w);
-        ++worker_inflight[w];
-        worker_stats[w].dispatches->inc();
-        execBlock(w, std::move(req));
+        runOne(std::move(req), it->second);
     }
     if (replayed) {
         auto &tr = sim().telemetry().tracer;
@@ -1720,13 +1592,11 @@ IoHypervisor::handleExternalFrame(net::FramePtr frame)
     if (idx == f_mac_index.end())
         return; // not for any consolidated device
     uint32_t device_id = idx->second;
-    auto it = net_devices.find(device_id);
-    vrio_assert(it != net_devices.end(), "index out of sync");
-    NetDeviceEntry &dev = it->second;
+    const NetDeviceEntry &dev = net_devices.at(device_id);
 
-    ++inflight;
-    unsigned worker = steer.steer(device_id);
-    ++worker_inflight[worker];
+    // External ingress is not a client request: it stays out of the
+    // worker dispatch count.
+    unsigned worker = handOff(device_id, /*count_dispatch=*/false);
     size_t frame_bytes = frame->bytes.size() + frame->pad;
     double cycles = cfg.net_fixed_cycles +
                     cfg.net_per_byte_cycles * double(frame_bytes) +
@@ -1738,17 +1608,9 @@ IoHypervisor::handleExternalFrame(net::FramePtr frame)
     sim::Tick t0 = sim().events().now();
     workerCore(worker).runPreempt(cycles, [this, worker, epoch, device_id, t0,
                                     frame = std::move(frame)]() mutable {
-        if (epoch != worker_epoch[worker])
+        if (!closeFirstStage(worker, epoch, t0, device_id))
             return;
-        worker_stats[worker].residency_ns->record(
-            (sim().events().now() - t0) / 1000);
-        steer.complete(device_id, worker);
-        stageDone(worker);
-        auto it = net_devices.find(device_id);
-        if (it == net_devices.end())
-            return;
-        NetDeviceEntry &dev = it->second;
-
+        const NetDeviceEntry &dev = net_devices.at(device_id);
         Bytes payload = std::move(frame->bytes);
         if (dev.chain) {
             interpose::IoContext ctx;

@@ -100,9 +100,10 @@ struct IoHypervisorConfig
     // -- rack layer (DESIGN.md §15; all off by default) ---------------
     /**
      * Cross-VM request coalescing at this fan-out point: block
-     * requests stage briefly and flush as merged backend runs
-     * (transport/coalesce.hpp).  Off = the historical one-request,
-     * one-submission dispatch path, untouched.
+     * requests of unchained devices stage briefly and flush as merged
+     * backend runs (transport/coalesce.hpp).  Off = every request runs
+     * at once as a run of one, one backend submission each.  Composes
+     * with `qos`: the scheduler's picks are what stages.
      */
     bool coalesce = false;
     /** Merge window; staged requests flush after this long. */
@@ -122,10 +123,10 @@ struct IoHypervisorConfig
     /**
      * Weighted-fair / deadline scheduling at the fan-out point: block
      * requests queue in a per-tenant `qos::FairScheduler` instead of
-     * dispatching FIFO, and admission control sheds over-budget
-     * tenants under pressure.  Off = the historical dispatch path,
-     * untouched.  Mutually exclusive with `coalesce` (both disciplines
-     * re-order the same queue).
+     * being forwarded FIFO, and admission control sheds over-budget
+     * tenants under pressure.  Off = requests forward as they arrive.
+     * With `coalesce` on, the scheduler orders what the coalescer
+     * merges: each pick is forwarded into the staging buffer.
      */
     bool qos = false;
     qos::SchedulerConfig qos_cfg;
@@ -460,7 +461,6 @@ class IoHypervisor : public sim::SimObject
     {
         net::MacAddress t_mac;
         transport::TransportHeader hdr;
-        Bytes data;
     };
     /** Commit-record sequence -> response, released in seq order. */
     std::map<uint64_t, HeldResponse> held_responses;
@@ -509,13 +509,13 @@ class IoHypervisor : public sim::SimObject
     telemetry::Counter *qos_promote_ctr = nullptr;
     /** Admission verdict + queue for one block request. */
     void qosEnqueue(transport::MessageAssembler::Assembled req);
-    /** Dispatch scheduler picks while end-to-end slots are free. */
+    /** Forward scheduler picks while end-to-end slots are free. */
     void qosPump();
-    /** Release the (device, serial) slot; admission tick on a hit. */
-    std::optional<sim::Tick> qosFinish(uint32_t device_id,
-                                       uint64_t serial);
-    /** End-of-request accounting (latency histogram, SLO check). */
-    void qosRecordLatency(uint32_t device_id, uint64_t serial);
+    /**
+     * End-of-request accounting: release the (device, serial) slot,
+     * record latency and SLO, and pump the freed slot.
+     */
+    void qosFinish(uint32_t device_id, uint64_t serial);
 
     // -- cross-VM request coalescing (cfg.coalesce) -------------------
     /** Staged entries, bucketed per backing device in first-seen
@@ -563,6 +563,11 @@ class IoHypervisor : public sim::SimObject
     void dispatch(transport::MessageAssembler::Assembled req);
     bool intakeAllowed() const;
     void stageDone(unsigned worker);
+    /** Intake accounting + steering for a first-stage job. */
+    unsigned handOff(uint32_t device_id, bool count_dispatch = true);
+    /** First-stage job prologue; false if the worker was quarantined. */
+    bool closeFirstStage(unsigned worker, uint64_t epoch, sim::Tick t0,
+                         uint32_t device_id);
 
     // Failure detection / recovery.
     void heartbeatTick();
@@ -593,7 +598,7 @@ class IoHypervisor : public sim::SimObject
      */
     void finishBlockResponse(net::MacAddress t_mac,
                              const transport::TransportHeader &resp,
-                             Bytes data);
+                             std::span<const uint8_t> data);
     /**
      * Failover activation: seed the filter and replay warm entries of
      * @p device_id whose serial is >= @p floor_serial (entries below
@@ -603,21 +608,29 @@ class IoHypervisor : public sim::SimObject
     void activateWarmState(uint32_t device_id, uint64_t floor_serial);
     void issueRehomeCommand(const PendingRehome &r);
 
-    // Cross-VM request coalescing.
+    // The block datapath: every admitted request runs as a MergedRun.
+    /** Mirror, then stage (coalesce on, no chain) or run at once. */
+    void forwardBlock(transport::MessageAssembler::Assembled req);
+    /** Run @p req at once as a run of one. */
+    void runOne(transport::MessageAssembler::Assembled req,
+                const BlockDeviceEntry &dev);
     void stageBlock(transport::MessageAssembler::Assembled req,
                     const BlockDeviceEntry &dev);
     void flushCoalescer();
+    /** Worker stage: cost, write chain, one backend submission. */
     void execRun(transport::MergedRun run);
+    /** Response stage: read chain, then one response per member. */
     void fanBackRun(transport::MergedRun run, virtio::BlkStatus status,
                     Bytes data);
+    /** Answer member @p p with @p status and its slice @p data. */
+    void respond(const transport::CoalesceEntry &p,
+                 virtio::BlkStatus status, std::span<const uint8_t> data);
 
     // Request execution on worker cores.
     /** Service-time histogram + tracer span for one worker stage. */
     void recordService(unsigned worker, double cycles);
     void execNet(unsigned worker,
                  transport::MessageAssembler::Assembled req);
-    void execBlock(unsigned worker,
-                   transport::MessageAssembler::Assembled req);
     void execAck(transport::MessageAssembler::Assembled req);
 
     // Egress toward clients.

@@ -215,9 +215,10 @@ struct ModelConfig
          * Multi-tenant QoS at each IOhost fan-out point (DESIGN.md
          * §17): block requests queue in a weighted-fair scheduler
          * with an EDF deadline lane and admission control instead of
-         * dispatching FIFO.  Requires rack mode (iohosts >= 1) and is
-         * mutually exclusive with `coalesce`.  Off (the default)
-         * keeps every schedule byte-identical.
+         * being forwarded FIFO.  Requires rack mode (iohosts >= 1).
+         * With `coalesce` on, the scheduler's picks are what the
+         * coalescer stages and merges.  Off (the default) keeps every
+         * schedule byte-identical.
          */
         struct QosOpts
         {

@@ -755,9 +755,6 @@ VrioModel::VrioModel(Rack &rack, ModelConfig cfg) : IoModel(rack, cfg)
     vrio_assert(classic ||
                     cfg.block_backend == ModelConfig::BlockBackend::Direct,
                 "rack mode supports the Direct block backend only");
-    vrio_assert(!(cfg.rack.qos.enabled && cfg.rack.coalesce),
-                "rack.qos and rack.coalesce both re-order the "
-                "fan-out queue; enable at most one");
 
     const unsigned R = classic ? 1 : cfg.rack.iohosts;
     auto vm_shard = [](unsigned h) { return uint32_t(1 + h); };

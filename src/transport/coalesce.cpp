@@ -47,10 +47,7 @@ chainRuns(std::vector<CoalesceEntry> bucket, size_t max_run,
         }
         if (!join) {
             close();
-            run.blk_type = e.blk_type;
-            run.lba = e.lba;
-            run.nsectors = e.nsectors;
-            run.parts.push_back(std::move(e));
+            run = MergedRun::of(std::move(e));
             continue;
         }
         run.nsectors =
@@ -84,6 +81,17 @@ foldRuns(std::vector<CoalesceEntry> bucket, size_t max_run,
 
 } // namespace
 
+MergedRun
+MergedRun::of(CoalesceEntry e)
+{
+    MergedRun run;
+    run.blk_type = e.blk_type;
+    run.lba = e.lba;
+    run.nsectors = e.nsectors;
+    run.parts.push_back(std::move(e));
+    return run;
+}
+
 uint64_t
 MergedRun::firstArrival() const
 {
@@ -104,6 +112,7 @@ planMergedRuns(std::vector<CoalesceEntry> entries, size_t max_run)
     // addresses, so bucket order is run-to-run deterministic.
     std::map<uint32_t, std::vector<CoalesceEntry>> flushes;
     std::map<uint32_t, std::vector<CoalesceEntry>> discards;
+    std::vector<MergedRun> runs;
     for (auto &e : entries) {
         switch (virtio::BlkType(e.blk_type)) {
           case virtio::BlkType::In:
@@ -118,10 +127,13 @@ planMergedRuns(std::vector<CoalesceEntry> entries, size_t max_run)
           case virtio::BlkType::Discard:
             discards[e.ns_id].push_back(std::move(e));
             break;
+          default:
+            // No merge rule: the entry runs alone, so every staged
+            // request still gets its backend verdict and a response.
+            runs.push_back(MergedRun::of(std::move(e)));
         }
     }
 
-    std::vector<MergedRun> runs;
     chainRuns(std::move(reads), max_run, /*reads_overlap=*/true, runs);
     chainRuns(std::move(writes), max_run, /*reads_overlap=*/false, runs);
     for (auto &[ns, bucket] : flushes)
@@ -149,15 +161,15 @@ buildRunPayload(const MergedRun &run)
     return data;
 }
 
-Bytes
+std::span<const uint8_t>
 sliceRunData(const MergedRun &run, const CoalesceEntry &part,
-             const Bytes &data)
+             std::span<const uint8_t> data)
 {
     size_t off = size_t(part.lba - run.lba) * kSector;
     size_t len = size_t(part.nsectors) * kSector;
     if (off + len > data.size())
         return {};
-    return Bytes(data.begin() + off, data.begin() + off + len);
+    return data.subspan(off, len);
 }
 
 } // namespace vrio::transport

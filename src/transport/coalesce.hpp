@@ -26,12 +26,14 @@
  *    device (a shared volume striped across VMs is the point), but
  *    FLUSH and TRIM are namespace fences: they only fold with other
  *    FLUSH/TRIM of the *same* namespace;
- *  - a run never exceeds `max_run` member requests.
+ *  - a run never exceeds `max_run` member requests;
+ *  - a request of any other type runs alone.
  */
 #ifndef VRIO_TRANSPORT_COALESCE_HPP
 #define VRIO_TRANSPORT_COALESCE_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/byte_buffer.hpp"
@@ -39,7 +41,7 @@
 
 namespace vrio::transport {
 
-/** One staged block request, normalized to backend sector space. */
+/** One block request of a run, normalized to backend sector space. */
 struct CoalesceEntry
 {
     uint32_t device_id = 0;
@@ -49,7 +51,10 @@ struct CoalesceEntry
     uint8_t blk_type = 0;
     /** Namespace (per-VM region) on the shared backing device. */
     uint32_t ns_id = 0;
-    /** Backend LBA (client sector + the namespace's sector offset). */
+    /** The request's client sector, echoed in its response. */
+    uint64_t sector = 0;
+    /** Backend LBA: client sector + the namespace's sector offset
+     *  (a run of one still omits the offset; IoHypervisor::runOne). */
     uint64_t lba = 0;
     uint32_t nsectors = 0;
     /** Staging order; fan-back completes parts in this order. */
@@ -62,14 +67,18 @@ struct CoalesceEntry
     uint64_t end() const { return lba + nsectors; }
 };
 
-/** One backend submission covering `parts` staged requests. */
+/** One backend submission covering its `parts` requests. */
 struct MergedRun
 {
     uint8_t blk_type = 0;
     uint64_t lba = 0;
     uint32_t nsectors = 0;
-    /** Members in (lba, arrival) order. */
+    /** Members in (lba, arrival) order until the response stage
+     *  re-sorts them by arrival to fan back. */
     std::vector<CoalesceEntry> parts;
+
+    /** The run of one: @p e alone, nothing merged. */
+    static MergedRun of(CoalesceEntry e);
 
     bool merged() const { return parts.size() > 1; }
     uint64_t end() const { return lba + nsectors; }
@@ -89,12 +98,13 @@ std::vector<MergedRun> planMergedRuns(std::vector<CoalesceEntry> entries,
 Bytes buildRunPayload(const MergedRun &run);
 
 /**
- * Carve @p part's slice out of a merged read run's completion data
- * (the per-VM fan-back).  Returns an empty buffer if @p data is too
- * short to cover the part (error completions carry no data).
+ * View @p part's slice of a read run's completion data (the per-VM
+ * fan-back).  Empty if @p data is too short to cover the part (error
+ * and write completions carry no data).
  */
-Bytes sliceRunData(const MergedRun &run, const CoalesceEntry &part,
-                   const Bytes &data);
+std::span<const uint8_t> sliceRunData(const MergedRun &run,
+                                      const CoalesceEntry &part,
+                                      std::span<const uint8_t> data);
 
 } // namespace vrio::transport
 

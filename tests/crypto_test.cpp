@@ -96,34 +96,6 @@ TEST(Aes, BadKeySizePanics)
     EXPECT_DEATH(Aes{k}, "key");
 }
 
-TEST(Pkcs7, PadAlwaysAddsAndUnpads)
-{
-    for (size_t n = 0; n <= 48; ++n) {
-        Bytes data(n, 0xab);
-        Bytes padded = pkcs7Pad(data);
-        EXPECT_EQ(padded.size() % Aes::kBlockSize, 0u);
-        EXPECT_GT(padded.size(), data.size());
-        Bytes out;
-        ASSERT_TRUE(pkcs7Unpad(padded, out)) << "n=" << n;
-        EXPECT_EQ(out, data);
-    }
-}
-
-TEST(Pkcs7, RejectsMalformedPadding)
-{
-    Bytes out;
-    EXPECT_FALSE(pkcs7Unpad({}, out));
-    Bytes not_block(15, 1);
-    EXPECT_FALSE(pkcs7Unpad(not_block, out));
-    Bytes bad(16, 0);
-    EXPECT_FALSE(pkcs7Unpad(bad, out)); // pad byte 0 invalid
-    Bytes bad2(16, 2);
-    bad2[15] = 3; // claims 3 but predecessors are 2
-    EXPECT_FALSE(pkcs7Unpad(bad2, out));
-    Bytes big(16, 17);
-    EXPECT_FALSE(pkcs7Unpad(big, out)); // pad > block size
-}
-
 TEST(Ctr, RoundTripPreservesLength)
 {
     Bytes key(32, 0x11);

@@ -13,6 +13,7 @@
 #include "models/io_model.hpp"
 #include "interpose/services.hpp"
 #include "models/vrio.hpp"
+#include "transport/encap.hpp"
 
 namespace vrio::models {
 namespace {
@@ -386,6 +387,60 @@ TEST(VrioLoss, TotalLossRaisesDeviceError)
     h.sim.runUntil(h.sim.now() + 5 * kSecond);
     EXPECT_TRUE(done);
     EXPECT_EQ(status, virtio::BlkStatus::Timeout);
+}
+
+TEST(VrioIngress, UnknownDeviceIdsLeakNoIntakeBudget)
+{
+    // Requests naming devices the IOhost does not serve are foreign
+    // traffic.  A burst of them larger than the intake budget (one
+    // worker x 16-frame batches) must leave the IOhost taking frames:
+    // a valid read right behind it completes.
+    ModelConfig mc = basicConfig(ModelKind::Vrio);
+    mc.with_block = true;
+    mc.sidecores = 1;
+    Harness h(mc);
+    auto &vm = static_cast<VrioModel &>(*h.model);
+    auto &hv = vm.hypervisor();
+    auto &metrics = h.sim.telemetry().metrics;
+    auto foreign = [&]() {
+        return metrics.count("iohost.foreign_rx_messages",
+                             {{"iohv", hv.name()}});
+    };
+    const uint64_t foreign_before = foreign();
+
+    net::Nic &port = *vm.iohostClientNics().at(0);
+    const auto src = net::MacAddress::local(0xbad);
+    constexpr unsigned kBurst = 40;
+    for (unsigned i = 0; i < kBurst; ++i) {
+        transport::TransportHeader hdr;
+        hdr.device_id = 0xdead0000 + i;
+        hdr.request_serial = i + 1;
+        Bytes payload;
+        if (i % 2) {
+            hdr.type = transport::MsgType::NetOut;
+            payload.assign(64, 0x5a);
+        } else {
+            hdr.type = transport::MsgType::BlkReq;
+            hdr.blk_type = uint8_t(virtio::BlkType::In);
+            hdr.io_len = 4096;
+        }
+        hdr.total_len = uint32_t(payload.size());
+        port.receive(transport::encapsulate(src, port.queueMac(0), i + 1,
+                                            hdr, payload));
+    }
+    h.sim.runUntil(h.sim.now() + 1 * kMillisecond);
+    EXPECT_EQ(foreign() - foreign_before, kBurst);
+
+    bool done = false;
+    virtio::BlkStatus status = virtio::BlkStatus::IoErr;
+    h.model->guest(0).submitBlock({virtio::BlkType::In, 0, 8, {}},
+                                  [&](virtio::BlkStatus s, Bytes) {
+                                      status = s;
+                                      done = true;
+                                  });
+    h.sim.runUntil(h.sim.now() + 5 * kMillisecond);
+    EXPECT_TRUE(done);
+    EXPECT_EQ(status, virtio::BlkStatus::Ok);
 }
 
 TEST(VrioContention, WorkerSeesContendedPackets)

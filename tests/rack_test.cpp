@@ -15,6 +15,7 @@
 #include "common.hpp"
 #include "core/testbed.hpp"
 #include "fault/injector.hpp"
+#include "interpose/services.hpp"
 #include "iohost/placement.hpp"
 #include "models/rack.hpp"
 #include "models/vrio.hpp"
@@ -160,6 +161,22 @@ TEST(CoalescePlan, DataOpsCrossNamespacesFencesDoNot)
     EXPECT_EQ(trim.size(), 2u);
 }
 
+TEST(CoalescePlan, UnknownTypesRunAloneAndAreNeverDropped)
+{
+    // A type the planner has no merge rule for (here virtio's GET_ID,
+    // 8) must still come back in a run of its own: a dropped entry
+    // would never be answered.
+    auto runs = planMergedRuns({entry(8, 0, 0, 0),
+                                entry(uint8_t(BlkType::In), 8, 8, 1),
+                                entry(8, 0, 0, 2)},
+                               8);
+    ASSERT_EQ(runs.size(), 3u);
+    EXPECT_EQ(runs[0].blk_type, 8u);
+    EXPECT_FALSE(runs[0].merged());
+    EXPECT_EQ(runs[1].blk_type, uint8_t(BlkType::In));
+    EXPECT_EQ(runs[2].parts.front().arrival, 2u);
+}
+
 TEST(CoalescePlan, MaxRunCapsMembership)
 {
     std::vector<CoalesceEntry> entries;
@@ -217,12 +234,15 @@ TEST(CoalescePlan, BuildAndSliceRoundTrip)
     Bytes data(16 * virtio::kSectorSize, 0);
     data[0] = 0x11;
     data[8 * virtio::kSectorSize] = 0x22;
-    Bytes s0 = transport::sliceRunData(r[0], r[0].parts[0], data);
-    Bytes s1 = transport::sliceRunData(r[0], r[0].parts[1], data);
+    auto s0 = transport::sliceRunData(r[0], r[0].parts[0], data);
+    auto s1 = transport::sliceRunData(r[0], r[0].parts[1], data);
     ASSERT_EQ(s0.size(), 8u * virtio::kSectorSize);
     ASSERT_EQ(s1.size(), 8u * virtio::kSectorSize);
     EXPECT_EQ(s0[0], 0x11);
     EXPECT_EQ(s1[0], 0x22);
+    // The slices are views into the completion, not copies of it.
+    EXPECT_EQ(s0.data(), data.data());
+    EXPECT_EQ(s1.data(), data.data() + 8 * virtio::kSectorSize);
 
     // Error completions carry no data: the slice comes back empty.
     EXPECT_TRUE(transport::sliceRunData(r[0], r[0].parts[1], Bytes{})
@@ -497,6 +517,73 @@ TEST(RackCoalesce, GappedRequestsStayIndividualSubmissions)
     EXPECT_EQ(hv.coalesceStaged(), 2u);
     EXPECT_EQ(hv.coalesceRuns(), 2u);
     EXPECT_EQ(hv.coalesceMergedParts(), 0u);
+}
+
+TEST(RackCoalesce, ChainedDevicesBypassStagingAndStoreCiphertext)
+{
+    // A chain transforms exactly one request's payload, which a merged
+    // run cannot express: an encrypted device runs every request as a
+    // run of one, while its unchained neighbour on the same shared
+    // volume still stages.
+    std::vector<std::unique_ptr<interpose::Chain>> chains;
+    unsigned blk_calls = 0;
+    core::TestbedOptions options;
+    options.vmhosts = 2;
+    options.sidecores = 2;
+    options.seed = 42;
+    options.shards = models::vrioShardCount(2, 1);
+    options.configure = [&](models::ModelConfig &mc) {
+        mc.with_block = true;
+        mc.vrio_via_switch = true;
+        mc.rack.iohosts = 1;
+        mc.rack.coalesce = true;
+        mc.rack.coalesce_window = 50 * kMicrosecond;
+        mc.rack.shared_volume = true;
+        // VM 1's disk is encrypted at rest; VM 0's is not.
+        mc.chain_factory = [&](uint32_t,
+                               bool is_block) -> interpose::Chain * {
+            if (!is_block || blk_calls++ != 1)
+                return nullptr;
+            auto chain = std::make_unique<interpose::Chain>();
+            chain->append(std::make_unique<interpose::EncryptionService>(
+                Bytes(32, 0x3c)));
+            chains.push_back(std::move(chain));
+            return chains.back().get();
+        };
+    };
+    core::Testbed tb(ModelKind::Vrio, 2, options);
+    tb.settle();
+    auto &hv = vrioOf(tb).rackHypervisor(0);
+
+    auto submit = [&](unsigned v, block::BlockRequest req) {
+        Bytes got;
+        bool ok = false;
+        tb.guest(v).submitBlock(std::move(req),
+                                [&](virtio::BlkStatus s, Bytes data) {
+                                    ok = s == virtio::BlkStatus::Ok;
+                                    got = std::move(data);
+                                });
+        tb.runFor(5 * kMillisecond);
+        EXPECT_TRUE(ok) << "vm " << v;
+        return got;
+    };
+    Bytes plain(8 * virtio::kSectorSize);
+    for (size_t i = 0; i < plain.size(); ++i)
+        plain[i] = uint8_t(i * 13 + 5);
+
+    submit(1, {BlkType::Out, 0, 8, plain});
+    EXPECT_EQ(hv.coalesceStaged(), 0u);
+
+    // The unchained VM reads the shared volume raw: ciphertext.
+    Bytes raw = submit(0, {BlkType::In, 0, 8, {}});
+    EXPECT_EQ(hv.coalesceStaged(), 1u);
+    ASSERT_EQ(raw.size(), plain.size());
+    EXPECT_NE(raw, plain);
+    EXPECT_NE(raw, Bytes(raw.size(), 0));
+
+    // The encrypted VM reads through its chain: plaintext again.
+    EXPECT_EQ(submit(1, {BlkType::In, 0, 8, {}}), plain);
+    EXPECT_EQ(hv.coalesceStaged(), 1u);
 }
 
 TEST(RackCoalesce, RetransmissionsSurviveTheMergePath)

@@ -84,6 +84,22 @@ run ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" -L golden
 # fails here, not only when the benchmark is next compared.
 run python3 perfbench/test_perfbench.py
 
+echo "== Benchmark fingerprints (Release) =="
+# Each workload's fingerprint folds every modelled series of its run.
+# A change that must not alter the model leaves all of them, on the
+# default and the held-out seed, as pinned in tests/bench_fingerprints.txt.
+# A change that alters a series on purpose updates that file and says
+# so in CHANGES.md.
+fingerprints() {
+    local seed
+    for seed in 1 20261017; do
+        python3 perfbench/run.py --seconds 0 --seed "$seed" |
+            awk -v seed="$seed" '/^== /{w=$2} /^fingerprint /{print w, seed, $2}'
+    done
+}
+FP_NOW="$(fingerprints)"
+run diff <(grep -v '^#' tests/bench_fingerprints.txt) <(echo "$FP_NOW")
+
 echo "== Telemetry exporters (Release) =="
 # Arm both exporters on a smoke-mode figure run, then assert the
 # Chrome trace is well-formed and spans the whole datapath (guest,
